@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BoxDomain, DomainError, IntPoint, ParameterError
+from .core import BoxDomain, IntPoint, ParameterError
 
 Formula = Callable[[np.ndarray], float]
 
@@ -335,17 +335,6 @@ def get_problem(name: str, n: int | None = None) -> BenchmarkProblem:
 def registry() -> list[BenchmarkProblem]:
     """All twelve problems at their default dimensions."""
     return [factory(None) for factory in PROBLEM_FACTORIES.values()]
-
-
-def evaluate(problem: BenchmarkProblem, x: np.ndarray) -> float:
-    """Domain-checked evaluation: lattice points exactly, reals by bounds."""
-    arr = np.asarray(x)
-    if arr.dtype.kind == "f" and not np.all(arr == np.floor(arr)):
-        if not problem.box.contains_real(arr):
-            raise DomainError(f"{arr!r} outside the box of {problem.name}")
-    elif not problem.box.contains(arr):
-        raise DomainError(f"{arr!r} outside the box of {problem.name}")
-    return problem.func(arr)
 
 
 BRUTE_FORCE_GUARD = 10**7

@@ -19,7 +19,6 @@ Config file schema (JSON)::
           "n": 5,                        # optional dimension
           "start": [3, 3, 3, 3, 3],      # explicit start, or:
           "start_pattern": [3],          # cycled out to dimension n
-          "filled_function": "inverse-square",
           "config": { ... per-run SolverConfig overrides ... }
         }
       ]
@@ -57,7 +56,7 @@ from .benchmarks import (
     registry,
 )
 from .core import DomainError, ParameterError
-from .filled import FILLED_FUNCTIONS, FilledParams
+from .filled import FilledParams, InverseSquareFilled
 from .solver import SolverConfig, solve_problem
 
 RECORD_FIELDS = (
@@ -104,22 +103,11 @@ def execute_run(spec: dict[str, Any], defaults: dict[str, Any]) -> dict[str, Any
     try:
         if "problem" not in spec:
             raise ParameterError("run spec needs a 'problem' name")
-        unknown = set(spec) - {
-            "problem",
-            "n",
-            "start",
-            "start_pattern",
-            "filled_function",
-            "config",
-        }
+        unknown = set(spec) - {"problem", "n", "start", "start_pattern", "config"}
         if unknown:
             raise ParameterError(f"unknown run keys: {sorted(unknown)}")
         problem = get_problem(spec["problem"], spec.get("n"))
         cfg = _merge_config(defaults, spec.get("config") or {})
-        if "filled_function" in spec:
-            cfg.filled_function = spec["filled_function"]
-        if cfg.filled_function not in FILLED_FUNCTIONS:
-            raise ParameterError(f"unknown filled function {cfg.filled_function!r}")
         if "start" in spec and "start_pattern" in spec:
             raise ParameterError("give either 'start' or 'start_pattern', not both")
         if "start_pattern" in spec:
@@ -132,7 +120,7 @@ def execute_run(spec: dict[str, Any], defaults: dict[str, Any]) -> dict[str, Any
         record.update(
             n=problem.dimension,
             x0=list(start),
-            ff=cfg.filled_function,
+            ff=InverseSquareFilled.name,
             f_g=report.f_best,
             n_fu=report.n_fu,
             n_fill=report.n_fill,
@@ -218,8 +206,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec["n"] = args.n
     if args.start:
         spec["start"] = [int(v) for v in args.start.split(",")]
-    if args.filled_function:
-        spec["filled_function"] = args.filled_function
     defaults: dict[str, Any] = {}
     if args.config:
         defaults = json.loads(Path(args.config).read_text()).get("defaults", {})
@@ -308,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--problem", required=True)
     p_run.add_argument("--n", type=int, default=None)
     p_run.add_argument("--start", help="comma-separated integers")
-    p_run.add_argument("--filled-function", default=None)
     p_run.add_argument("--config", help="JSON file whose 'defaults' apply")
     p_run.set_defaults(func=_cmd_run)
 
@@ -338,9 +323,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParameterError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

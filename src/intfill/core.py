@@ -2,8 +2,8 @@
 
 This module owns everything the rest of the package assumes about the
 search space: the box domain, the rounding map from real vectors to
-lattice points, unit-step neighborhoods, discrete paths, and the
-evaluation accounting used to enforce budgets.
+lattice points, unit-step neighborhoods, and the evaluation accounting
+used to enforce budgets.
 
 Conventions:
 
@@ -192,7 +192,8 @@ def neighborhood_argmin(
     """Minimizer of ``f`` over the neighborhood of ``x`` (including ``x``).
 
     Ties keep the earliest point in scan order; the center is scanned
-    last, so a neighbor matching the center's value wins the tie.
+    last, so a neighbor matching the center's value wins the tie. Raises
+    ``DomainError`` when every value in the neighborhood is NaN or +inf.
     """
     best: IntPoint | None = None
     best_val = np.inf
@@ -200,16 +201,9 @@ def neighborhood_argmin(
         v = float(f(p))
         if v < best_val:
             best, best_val = p, v
-    assert best is not None
+    if best is None:
+        raise DomainError(f"every value around {point_key(x)} is NaN or +inf")
     return best, best_val
-
-
-def argmin_over_neighborhood(
-    f: Callable[[IntPoint], float], x: IntPoint, box: BoxDomain
-) -> IntPoint:
-    """Point form of ``neighborhood_argmin`` (same tie-break rule)."""
-    best, _ = neighborhood_argmin(f, x, box)
-    return best
 
 
 def is_discrete_local_min(
@@ -221,28 +215,6 @@ def is_discrete_local_min(
         if float(f(p)) < fx:
             return False
     return True
-
-
-def discrete_path(start: IntPoint, end: IntPoint, box: BoxDomain) -> list[IntPoint]:
-    """A feasible unit-step path from ``start`` to ``end``.
-
-    Coordinates are swept in index order, one unit per step. Every
-    intermediate point mixes finished coordinates of ``end`` with
-    untouched coordinates of ``start``, so it stays inside the box, and
-    no point repeats.
-    """
-    a = as_int_point(start)
-    b = as_int_point(end)
-    if not box.contains(a) or not box.contains(b):
-        raise DomainError("path endpoints must be feasible")
-    path = [a.copy()]
-    cur = a.copy()
-    for i in range(box.dimension):
-        step = 1 if b[i] > cur[i] else -1
-        while cur[i] != b[i]:
-            cur[i] += step
-            path.append(cur.copy())
-    return path
 
 
 @dataclasses.dataclass

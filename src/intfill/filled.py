@@ -23,7 +23,6 @@ the lattice and pushes minimizers toward integer coordinates.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Protocol
 
 import numpy as np
 
@@ -190,43 +189,6 @@ class AugmentedFilled:
     def __call__(self, x: np.ndarray) -> float:
         raw = self.base.raw(x)
         return raw + abs(raw) * lattice_penalty(x)
-
-
-class FilledFactory(Protocol):
-    def __call__(
-        self,
-        objective: ObjectiveFunction,
-        anchor: IntPoint,
-        anchor_value: float,
-        r: float,
-    ) -> InverseSquareFilled: ...
-
-
-FILLED_FUNCTIONS: dict[str, FilledFactory] = {
-    "inverse-square": InverseSquareFilled,
-}
-
-
-def register_filled_function(name: str, factory: FilledFactory) -> None:
-    """Add a construction to the registry (used by tests and extensions)."""
-    if name in FILLED_FUNCTIONS:
-        raise ParameterError(f"filled function {name!r} already registered")
-    FILLED_FUNCTIONS[name] = factory
-
-
-def make_filled(
-    name: str,
-    objective: ObjectiveFunction,
-    anchor: IntPoint,
-    anchor_value: float,
-    r: float,
-) -> InverseSquareFilled:
-    try:
-        factory = FILLED_FUNCTIONS[name]
-    except KeyError:
-        known = ", ".join(sorted(FILLED_FUNCTIONS))
-        raise ParameterError(f"unknown filled function {name!r}; known: {known}")
-    return factory(objective, anchor, anchor_value, r)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -16,11 +16,12 @@ best discrete local minimizer of the current pass):
    below ``r_min``, or when the endpoint lands on a box vertex; the next
    neighbor then starts with ``r`` reset.
 
-The outer loop restarts the inner search up to ``max_outer_iterations``
-times: from the incumbent after an improvement, else from the
-lowest-value neighbor of the last result that has not been exhausted by
-revisits. A result point reached more than ``revisit_limit`` times ends
-the run early. Round 1 escapes with the configured filled minimizer as
+The outer loop runs the inner search up to ``max_outer_iterations``
+times. Each later round starts from the incumbent after an improvement,
+else from the lowest-value neighbor of the last result that has not
+been exhausted by revisits; no neighbor is picked after the last round.
+A result point reached more than ``revisit_limit`` times ends the run
+early. Round 1 escapes with the configured filled minimizer as
 given. A later round often descends back to an anchor an earlier round
 already escaped from, so when the filled minimizer is ``"compass"``,
 round ``k`` multiplies the compass step by ``k`` on each successful
@@ -30,9 +31,9 @@ two rounds replay the same walk.
 
 Evaluation accounting: every objective evaluation (including candidate
 ordering, neighborhood argmins, and the objective evaluation embedded
-in each filled value unless configured off) charges ``n_fu``, and every
-filled evaluation (including the per-escape bound check and the
-optional condition instrumentation) charges ``n_fill``. When the
+in each filled value unless the objective's ``count_in_filled`` is off)
+charges ``n_fu``, and every filled evaluation (including the per-escape
+bound check and the D1/DC2 condition checks) charges ``n_fill``. When the
 combined budget runs out mid-search the run is cut deterministically;
 the best feasible point seen is then polished to a discrete local
 minimizer with the budget lifted, so reported counters may slightly
@@ -67,7 +68,7 @@ from .filled import (
     AugmentedFilled,
     BoundCheck,
     FilledParams,
-    make_filled,
+    InverseSquareFilled,
     rounding_error_check,
 )
 from .local_search import minimize_continuous, steepest_descent_discrete
@@ -79,15 +80,12 @@ class SolverConfig:
 
     max_outer_iterations: int = 3
     revisit_limit: int = 2
-    filled_function: str = "inverse-square"
     filled_params: FilledParams = dataclasses.field(default_factory=FilledParams)
     objective_minimizer: str = "quasi-newton"
     objective_minimizer_options: dict = dataclasses.field(default_factory=dict)
     filled_minimizer: str = "compass"
     filled_minimizer_options: dict = dataclasses.field(default_factory=dict)
     max_evaluations: int = 10_000_000
-    count_objective_in_filled: bool = True
-    check_filled_conditions: bool = True
 
     def __post_init__(self) -> None:
         if self.max_outer_iterations < 1:
@@ -216,11 +214,10 @@ def _generic(
             )
             pending_dc2 = None
 
-        filled = make_filled(cfg.filled_function, obj, x_star, f_star, params.r_max)
+        filled = InverseSquareFilled(obj, x_star, f_star, params.r_max)
         target = AugmentedFilled(filled)
         anchor_filled = filled.anchor_filled_value()
-        if cfg.check_filled_conditions:
-            _check_d1(obj, target, x_star, anchor_filled, rec)
+        _check_d1(obj, target, x_star, anchor_filled, rec)
 
         # Phase 2: escape attempts from each neighbor, cheapest first.
         escape_options = cfg.filled_minimizer_options
@@ -266,7 +263,7 @@ def _generic(
                     bound=check.status,
                 )
                 if escaped:
-                    if cfg.check_filled_conditions and is_discrete_local_min(
+                    if is_discrete_local_min(
                         lambda p: target(p.astype(float)), x_landed, box
                     ):
                         pending_dc2 = f_star
@@ -323,43 +320,19 @@ def _recover_best(
     return x_fin, f_fin, True
 
 
-def generic_filled_search(
-    obj: ObjectiveFunction, x0: IntPoint, cfg: SolverConfig | None = None
-) -> IntPoint:
-    """Run one inner search and return its final anchor point.
-
-    On budget exhaustion the best point reached so far is returned,
-    polished to a discrete local minimizer if it was not an anchor yet.
-    """
-    cfg = cfg or SolverConfig()
-    start = as_int_point(x0)
-    if not obj.box.contains(start):
-        raise DomainError(f"start {start!r} outside the box")
-    rec = _RunRecord()
-    try:
-        x_star, _ = _generic(obj, start, cfg, rec, outer=1)
-        return x_star
-    except BudgetExhausted:
-        x_best, _, _ = _recover_best(obj, rec, start)
-        return x_best
-
-
 def solve(
     obj: ObjectiveFunction, x0: IntPoint, cfg: SolverConfig | None = None
 ) -> SolveReport:
     """Full restart search from ``x0``; always returns a report.
 
-    The objective's ``count_in_filled`` flag is overwritten from the
-    config so that one config object fully determines counting
-    semantics. A limit already present on the counter is respected when
-    it is tighter than the configured budget.
+    A limit already present on the counter is respected when it is
+    tighter than the configured budget.
     """
     cfg = cfg or SolverConfig()
     box = obj.box
     start = as_int_point(x0)
     if not box.contains(start):
         raise DomainError(f"start {start!r} outside the box")
-    obj.count_in_filled = cfg.count_objective_in_filled
     counter = obj.counter
     saved_limit = counter.limit
     budget = counter.total() + cfg.max_evaluations
@@ -399,7 +372,7 @@ def solve(
             if visits[key] > cfg.revisit_limit:
                 termination = "revisit_limit"
                 break
-            if not improved:
+            if not improved and outer_done < cfg.max_outer_iterations:
                 chosen: IntPoint | None = None
                 chosen_val = np.inf
                 for nb in neighborhood(x_res, box)[:-1]:
@@ -456,8 +429,6 @@ def solve_problem(
     """Wire a benchmark problem into a counted solve."""
     cfg = cfg or SolverConfig()
     counter = counter if counter is not None else EvalCounter()
-    obj = ObjectiveFunction(
-        problem.func, problem.box, counter, cfg.count_objective_in_filled
-    )
+    obj = ObjectiveFunction(problem.func, problem.box, counter)
     start = as_int_point(problem.default_start if x0 is None else x0)
     return solve(obj, start, cfg)

@@ -7,12 +7,11 @@ from intfill.benchmarks import (
     BRUTE_FORCE_GUARD,
     PROBLEM_FACTORIES,
     brute_force_min,
-    evaluate,
     expand_start_pattern,
     get_problem,
     registry,
 )
-from intfill.core import BoxDomain, DomainError, ParameterError
+from intfill.core import BoxDomain, ParameterError
 
 CANONICAL_NAMES = [
     "rosenbrock",
@@ -129,21 +128,6 @@ def test_expand_start_pattern():
     assert expand_start_pattern((1, 2, 3), 2) == (1, 2)
     with pytest.raises(ParameterError):
         expand_start_pattern((), 3)
-
-
-# ---------------------------------------------------------------- evaluate
-
-
-def test_evaluate_checks_domains():
-    p = get_problem("booth")
-    assert evaluate(p, np.array([0, 0])) == 74.0
-    assert evaluate(p, np.array([0.5, 0.0])) == pytest.approx(
-        (0.5 - 7.0) ** 2 + (1.0 - 5.0) ** 2, abs=1e-12
-    )
-    with pytest.raises(DomainError):
-        evaluate(p, np.array([11, 0]))
-    with pytest.raises(DomainError):
-        evaluate(p, np.array([10.5, 0.0]))
 
 
 # ---------------------------------------------------------------- oracle

@@ -81,7 +81,7 @@ def test_execute_run_error_is_captured_not_raised():
     rec = execute_run({"problem": "booth", "bogus": 1}, {})
     assert "unknown run keys" in rec["error"]
     rec = execute_run({"problem": "booth", "filled_function": "nope"}, {})
-    assert "unknown filled function" in rec["error"]
+    assert "unknown run keys" in rec["error"]
 
 
 def test_execute_run_merges_defaults_under_per_run_overrides():

@@ -10,10 +10,8 @@ from intfill.core import (
     EvalCounter,
     ObjectiveFunction,
     ParameterError,
-    argmin_over_neighborhood,
     as_int_point,
     axis_directions,
-    discrete_path,
     is_discrete_local_min,
     neighborhood,
     neighborhood_argmin,
@@ -230,11 +228,15 @@ def test_neighborhood_argmin_strict_center_win():
     assert value == 0.0
 
 
-def test_argmin_over_neighborhood_matches_pair_form():
+def test_neighborhood_argmin_skips_nan_and_raises_on_all_nan_or_inf():
     box = box2()
-    a = argmin_over_neighborhood(booth, np.array([0, 0]), box)
-    b, _ = neighborhood_argmin(booth, np.array([0, 0]), box)
-    np.testing.assert_array_equal(a, b)
+    nan_off_axis = lambda p: float("nan") if p[1] != 0 else float(p[0])
+    point, value = neighborhood_argmin(nan_off_axis, np.array([0, 0]), box)
+    assert tuple(point) == (-1, 0)
+    assert value == -1.0
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match=r"\(2, 2\)"):
+            neighborhood_argmin(lambda p: bad, np.array([2, 2]), box)
 
 
 def test_is_discrete_local_min():
@@ -244,30 +246,6 @@ def test_is_discrete_local_min():
     assert not is_discrete_local_min(sphere, np.array([1, 0]), box)
     # Plateaus count: no strict improvement available.
     assert is_discrete_local_min(lambda p: 1.0, np.array([1, 0]), box)
-
-
-# ---------------------------------------------------------------- paths
-
-
-def test_discrete_path_shape():
-    box = box2()
-    path = discrete_path(np.array([2, -1]), np.array([-1, 3]), box)
-    assert tuple(path[0]) == (2, -1)
-    assert tuple(path[-1]) == (-1, 3)
-    assert len(path) == 1 + 3 + 4
-    keys = {tuple(p) for p in path}
-    assert len(keys) == len(path)
-    for p, q in zip(path, path[1:]):
-        assert np.abs(q - p).sum() == 1
-    assert all(box.contains(p) for p in path)
-
-
-def test_discrete_path_trivial_and_infeasible():
-    box = box2()
-    path = discrete_path(np.array([1, 1]), np.array([1, 1]), box)
-    assert len(path) == 1
-    with pytest.raises(DomainError):
-        discrete_path(np.array([9, 0]), np.array([0, 0]), box)
 
 
 # ---------------------------------------------------------------- counting

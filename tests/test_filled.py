@@ -4,14 +4,11 @@ import pytest
 
 from intfill.core import BoxDomain, EvalCounter, ObjectiveFunction, ParameterError
 from intfill.filled import (
-    FILLED_FUNCTIONS,
     AugmentedFilled,
     FilledParams,
     InverseSquareFilled,
     filled_value,
     lattice_penalty,
-    make_filled,
-    register_filled_function,
     rounding_error_check,
     smoothed_ramp,
     smoothed_step,
@@ -238,32 +235,6 @@ def test_augmented_half_offset_doubles_value():
     x = np.array([0.5, 0.0])
     assert ff.raw(x) == 1.8
     assert wrapped(x) == 2 * 1.8
-
-
-# ---------------------------------------------------------------- registry
-
-
-def test_registry_lookup_and_unknown_name():
-    obj = make_objective()
-    ff = make_filled("inverse-square", obj, np.array([0, 0]), 0.0, 1.0)
-    assert isinstance(ff, InverseSquareFilled)
-    with pytest.raises(ParameterError):
-        make_filled("nope", obj, np.array([0, 0]), 0.0, 1.0)
-
-
-def test_registry_rejects_duplicates():
-    with pytest.raises(ParameterError):
-        register_filled_function("inverse-square", InverseSquareFilled)
-
-
-def test_registry_accepts_new_name():
-    register_filled_function("inverse-square-alias", InverseSquareFilled)
-    try:
-        obj = make_objective()
-        ff = make_filled("inverse-square-alias", obj, np.array([0, 0]), 0.0, 1.0)
-        assert isinstance(ff, InverseSquareFilled)
-    finally:
-        del FILLED_FUNCTIONS["inverse-square-alias"]
 
 
 # ---------------------------------------------------------------- params

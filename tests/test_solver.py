@@ -14,7 +14,6 @@ from intfill.core import (
 from intfill.solver import (
     SolverConfig,
     SolveReport,
-    generic_filled_search,
     solve,
     solve_problem,
     vertex_check,
@@ -70,12 +69,9 @@ def test_config_defaults():
     cfg = SolverConfig()
     assert cfg.objective_minimizer == "quasi-newton"
     assert cfg.filled_minimizer == "compass"
-    assert cfg.filled_function == "inverse-square"
     assert cfg.max_outer_iterations == 3
     assert cfg.revisit_limit == 2
     assert cfg.max_evaluations == 10_000_000
-    assert cfg.count_objective_in_filled
-    assert cfg.check_filled_conditions
 
 
 # ---------------------------------------------------------------- basic solves
@@ -103,19 +99,28 @@ def test_solve_problem_uses_default_start():
     assert rep.columns() == explicit.columns()
 
 
-def test_generic_search_reaches_booth_minimum():
-    obj = booth_objective()
-    out = generic_filled_search(obj, np.array([0, 0]))
-    assert tuple(out) == (1, 3)
-
-
-def test_single_outer_iteration_matches_generic_endpoint():
-    obj1 = booth_objective()
-    rep = solve(obj1, np.array([0, 0]), SolverConfig(max_outer_iterations=1))
-    obj2 = booth_objective()
-    out = generic_filled_search(obj2, np.array([0, 0]))
-    assert rep.x_best == tuple(out)
+def test_no_restart_pick_after_the_last_round():
+    # Round 2 does not improve on round 1; no round follows, so the 2n
+    # neighbors of its result are not evaluated to pick a restart.
+    rep = solve_problem(get_problem("booth"), cfg=SolverConfig(max_outer_iterations=2))
+    assert rep.columns() == (0.0, 864, 757)
     assert rep.termination == "max_iterations"
+    assert rep.events[-1]["kind"] == "outer_result"
+
+
+@pytest.mark.parametrize(
+    "func,start",
+    [
+        (lambda x: float("nan") if x[0] > 2 else float(x @ x), (4, 4)),
+        (lambda x: float("inf") if x[0] < 0 else float(x @ x), (0, 0)),
+    ],
+    ids=["nan", "inf"],
+)
+def test_non_finite_neighborhood_raises_domain_error(func, start):
+    # An escape lands where every neighborhood value is NaN or +inf.
+    box = BoxDomain(np.array([-5, -5]), np.array([5, 5]))
+    with pytest.raises(DomainError, match=r"NaN or \+inf"):
+        solve(ObjectiveFunction(func, box, EvalCounter()), np.array(start))
 
 
 def test_double_well_escape_and_dc2_record():
@@ -140,16 +145,6 @@ def test_d1_checks_recorded_and_passing():
         assert check["passed"]
         assert check["anchor_filled"] == 2.0
         assert check["max_neighbor_filled"] < 2.0
-
-
-def test_condition_instrumentation_can_be_disabled():
-    base = solve_problem(get_problem("booth"))
-    off = solve_problem(
-        get_problem("booth"), cfg=SolverConfig(check_filled_conditions=False)
-    )
-    assert off.d1_checks == [] and off.dc2_checks == []
-    assert off.f_best == base.f_best
-    assert off.n_fill < base.n_fill
 
 
 # ---------------------------------------------------------------- gate margin
@@ -302,17 +297,10 @@ def test_external_counter_limit_respected_and_restored():
 
 def test_embedded_objective_counting_flag():
     on = solve_problem(get_problem("booth"))
-    off = solve_problem(
-        get_problem("booth"), cfg=SolverConfig(count_objective_in_filled=False)
-    )
+    p = get_problem("booth")
+    obj = ObjectiveFunction(p.func, p.box, EvalCounter(), count_in_filled=False)
+    off = solve(obj, np.array(p.default_start))
     assert off.f_best == on.f_best == 0.0
     # Every filled evaluation embeds one objective evaluation; with the
     # flag off those no longer hit n_fu.
     assert off.n_fu == on.n_fu - on.n_fill
-
-
-def test_solve_overwrites_objective_counting_flag():
-    obj = booth_objective()
-    assert obj.count_in_filled
-    solve(obj, np.array([0, 0]), SolverConfig(count_objective_in_filled=False))
-    assert not obj.count_in_filled
