@@ -131,6 +131,10 @@ def execute_run(spec: dict[str, Any], defaults: dict[str, Any]) -> dict[str, Any
         )
     except (ParameterError, DomainError, ValueError) as exc:
         record["error"] = str(exc)
+    except Exception as exc:
+        # Any other failure of one row (say, a bad minimizer option) is
+        # recorded too, so that it cannot abort the rest of a batch.
+        record["error"] = f"{type(exc).__name__}: {exc}"
     return record
 
 

@@ -112,13 +112,6 @@ class BoxDomain:
                 return False
         return bool(np.all(arr >= self.lower) and np.all(arr <= self.upper))
 
-    def contains_real(self, x: np.ndarray) -> bool:
-        """Bounds-only membership for real vectors."""
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != self.lower.shape or not np.all(np.isfinite(arr)):
-            return False
-        return bool(np.all(arr >= self.lower) and np.all(arr <= self.upper))
-
     def clamp(self, x: np.ndarray) -> np.ndarray:
         """Project onto the box, preserving integer or float dtype."""
         arr = np.asarray(x)

@@ -120,8 +120,8 @@ class QuasiNewton:
     Hessian is rescaled once after the first accepted step, updated only
     when curvature is positive, and reset whenever the model direction
     fails to descend. Runs stop at a small projected gradient, the
-    iteration cap, or after ``max_line_failures`` consecutive failed
-    line searches.
+    iteration cap, a gradient that is not finite (``"non_finite"``), or
+    after ``max_line_failures`` consecutive failed line searches.
     """
 
     grad_step: float = 1e-6
@@ -180,6 +180,11 @@ class QuasiNewton:
         for _ in range(self.max_iterations):
             g, k = self._gradient(fn, x, box)
             nev += k
+            if not np.all(np.isfinite(g)):
+                # A probe hit NaN or +inf: every direction built from g
+                # would be NaN, and stepping on would only evaluate there.
+                termination = "non_finite"
+                break
             if prev_g is not None and prev_s is not None:
                 yk = g - prev_g
                 sy = float(prev_s @ yk)
@@ -316,47 +321,3 @@ def verify_descent_contract(
     )
     descent = t1.final_value <= t1.start_value
     return ContractReport(deterministic, descent, t1.start_value, t1.final_value)
-
-
-def neighbor_descent_statistic(
-    fn: Objective,
-    box: BoxDomain,
-    method: str = "quasi-newton",
-    n_samples: int = 20,
-    rng: np.random.Generator | None = None,
-    options: dict | None = None,
-    tol: float = 1e-6,
-    exhaustive_limit: int = 0,
-) -> float:
-    """Empirical probe of the neighbor-drainage assumption.
-
-    A lattice start ``x0`` satisfies the property when its descent
-    endpoint is ``x0`` itself, or when some unit neighbor of ``x0``
-    descends to the same endpoint (within ``tol``) from strictly closer.
-    Returns the fraction of satisfying starts over either every box
-    point (when the box holds at most ``exhaustive_limit`` points) or
-    ``n_samples`` random ones. This is a reported statistic, never a
-    hard guarantee: no shipped minimizer provably has the property.
-    """
-    rng = rng or np.random.default_rng(0)
-    if box.feasible_size() <= exhaustive_limit:
-        bases = list(box.iter_points())
-    else:
-        bases = [box.random_point(rng) for _ in range(n_samples)]
-    satisfied = 0
-    for x0 in bases:
-        end, _ = minimize_continuous(fn, x0.astype(float), box, method, options)
-        base_dist = float(np.linalg.norm(x0 - end))
-        if base_dist <= tol:
-            satisfied += 1
-            continue
-        for nb in neighborhood(x0, box)[:-1]:
-            if float(np.linalg.norm(nb - end)) >= base_dist:
-                continue
-            nb_end, _ = minimize_continuous(fn, nb.astype(float), box, method, options)
-            if float(np.max(np.abs(nb_end - end))) <= tol:
-                satisfied += 1
-                break
-    if not bases:
-        return 1.0
-    return satisfied / len(bases)

@@ -16,18 +16,15 @@ best discrete local minimizer of the current pass):
    below ``r_min``, or when the endpoint lands on a box vertex; the next
    neighbor then starts with ``r`` reset.
 
-The outer loop runs the inner search up to ``max_outer_iterations``
-times. Each later round starts from the incumbent after an improvement,
-else from the lowest-value neighbor of the last result that has not
-been exhausted by revisits; no neighbor is picked after the last round.
-A result point reached more than ``revisit_limit`` times ends the run
-early. Round 1 escapes with the configured filled minimizer as
-given. A later round often descends back to an anchor an earlier round
-already escaped from, so when the filled minimizer is ``"compass"``,
-round ``k`` multiplies the compass step by ``k`` on each successful
-poll: the walk then jumps along the lattice and polls points far off
-its axis lines, where round 1's unit-step walk never looked, and no
-two rounds replay the same walk.
+The outer loop runs the inner search ``max_outer_iterations`` times,
+and every round starts from the incumbent: the best anchor found so
+far, or the start point before any round has improved on it. Round 1
+escapes with the configured filled minimizer as given. A later round
+descends back to an anchor an earlier round already escaped from, so
+when the filled minimizer is ``"compass"``, round ``k`` multiplies the
+compass step by ``k`` on each successful poll: the walk then jumps along
+the lattice and polls points far off its axis lines, where round 1's
+unit-step walk never looked, and no two rounds replay the same walk.
 
 Evaluation accounting: every objective evaluation (including candidate
 ordering, neighborhood argmins, and the objective evaluation embedded
@@ -79,7 +76,6 @@ class SolverConfig:
     """Tunables for one solve. Defaults match the acceptance setup."""
 
     max_outer_iterations: int = 3
-    revisit_limit: int = 2
     filled_params: FilledParams = dataclasses.field(default_factory=FilledParams)
     objective_minimizer: str = "quasi-newton"
     objective_minimizer_options: dict = dataclasses.field(default_factory=dict)
@@ -90,8 +86,6 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.max_outer_iterations < 1:
             raise ParameterError("max_outer_iterations must be >= 1")
-        if self.revisit_limit < 1:
-            raise ParameterError("revisit_limit must be >= 1")
         if self.max_evaluations < 1:
             raise ParameterError("max_evaluations must be >= 1")
 
@@ -348,50 +342,20 @@ def solve(
         f_g = obj(start)
         rec.note_seen(start, f_g)
         rec.log(counter, "start", point=point_key(start), value=f_g)
-        visits: dict[tuple[int, ...], int] = {}
-        current = np.array(start)
-        for i in range(cfg.max_outer_iterations):
-            outer_done = i + 1
-            x_res, f_res = _generic(obj, current, cfg, rec, outer=outer_done)
-            key = point_key(x_res)
-            visits[key] = visits.get(key, 0) + 1
+        for outer_done in range(1, cfg.max_outer_iterations + 1):
+            x_res, f_res = _generic(obj, x_g, cfg, rec, outer=outer_done)
             improved = f_res < f_g
             if improved:
                 x_g, f_g = np.array(x_res), f_res
-                current = np.array(x_g)
                 incumbent_is_minimizer = True
             rec.log(
                 counter,
                 "outer_result",
                 outer=outer_done,
-                point=key,
+                point=point_key(x_res),
                 value=f_res,
                 improved=improved,
-                visits=visits[key],
             )
-            if visits[key] > cfg.revisit_limit:
-                termination = "revisit_limit"
-                break
-            if not improved and outer_done < cfg.max_outer_iterations:
-                chosen: IntPoint | None = None
-                chosen_val = np.inf
-                for nb in neighborhood(x_res, box)[:-1]:
-                    if visits.get(point_key(nb), 0) >= cfg.revisit_limit:
-                        continue
-                    v = obj(nb)
-                    rec.note_seen(nb, v)
-                    if v < chosen_val:
-                        chosen, chosen_val = nb, v
-                if chosen is None:
-                    termination = "neighbors_exhausted"
-                    break
-                current = chosen
-                rec.log(
-                    counter,
-                    "restart_neighbor",
-                    point=point_key(chosen),
-                    value=chosen_val,
-                )
         if not incumbent_is_minimizer:
             # No inner result beat f(x0): descend the start so the
             # reported point is a discrete local minimizer too.

@@ -37,6 +37,9 @@ def test_config_from_dict_builds_filled_params():
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ParameterError):
         config_from_dict({"max_outer_iters": 3})
+    # Every outer round restarts from the incumbent; there is no revisit knob.
+    with pytest.raises(ParameterError, match="revisit_limit"):
+        config_from_dict({"revisit_limit": 2})
 
 
 # ---------------------------------------------------------------- execute_run
@@ -52,7 +55,7 @@ def test_execute_run_booth_record():
     assert rec["ff"] == "inverse-square"
     assert rec["f_g"] == 0.0
     assert rec["hit"] is True
-    assert rec["termination"] == "revisit_limit"
+    assert rec["termination"] == "max_iterations"
     assert rec["n_fu"] > 0 and rec["n_fill"] > 0
     assert rec["wall_time"] > 0
 
@@ -180,6 +183,28 @@ def test_main_matrix_from_config(tmp_path, capsys):
     assert records[0]["hit"] is True and records[1]["hit"] is True
     assert records[2]["error"] is not None
     assert (tmp_path / "demo.json").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_main_matrix_records_untyped_row_errors(tmp_path, capsys, jobs):
+    # A bad minimizer option raises TypeError inside the solve; the row
+    # records it and the batch goes on.
+    config = {
+        "runs": [
+            {"problem": "booth", "config": {"filled_minimizer_options": {"foo": 1}}},
+            {"problem": "booth", "config": {"objective_minimizer_options": {"grad_step": "x"}}},
+            {"problem": "booth"},
+        ],
+    }
+    cfg_path = tmp_path / "runs.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["matrix", str(cfg_path), "--output-dir", str(tmp_path),
+                 "--name", "bad", "--jobs", jobs]) == 0
+    assert "hit rate: 1/3 (2 errors)" in capsys.readouterr().out
+    records = read_records_csv(tmp_path / "bad.csv")
+    assert [r["error"].split(":")[0] for r in records[:2]] == ["TypeError"] * 2
+    assert "foo" in records[0]["error"]
+    assert records[2]["error"] is None and records[2]["hit"] is True
 
 
 def test_main_matrix_deterministic_tables(tmp_path):

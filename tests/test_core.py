@@ -125,13 +125,6 @@ def test_box_contains_is_exact_lattice():
     assert not box.contains(np.array([0, 0, 0]))
 
 
-def test_box_contains_real_is_bounds_only():
-    box = box2()
-    assert box.contains_real(np.array([0.5, -4.9]))
-    assert not box.contains_real(np.array([5.1, 0.0]))
-    assert not box.contains_real(np.array([np.nan, 0.0]))
-
-
 def test_box_clamp_preserves_dtype():
     box = box2()
     out_i = box.clamp(np.array([7, -9]))

@@ -24,7 +24,6 @@ EVENT_KINDS = {
     "anchor",
     "escape",
     "outer_result",
-    "restart_neighbor",
     "finalize_descent",
 }
 
@@ -60,8 +59,6 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         SolverConfig(max_outer_iterations=0)
     with pytest.raises(ParameterError):
-        SolverConfig(revisit_limit=0)
-    with pytest.raises(ParameterError):
         SolverConfig(max_evaluations=0)
 
 
@@ -70,7 +67,6 @@ def test_config_defaults():
     assert cfg.objective_minimizer == "quasi-newton"
     assert cfg.filled_minimizer == "compass"
     assert cfg.max_outer_iterations == 3
-    assert cfg.revisit_limit == 2
     assert cfg.max_evaluations == 10_000_000
 
 
@@ -82,7 +78,7 @@ def test_solve_booth_finds_global():
     assert isinstance(rep, SolveReport)
     assert rep.x_best == (1, 3)
     assert rep.f_best == 0.0
-    assert rep.termination == "revisit_limit"
+    assert rep.termination == "max_iterations"
     assert rep.n_fu > 0 and rep.n_fill > 0
     assert rep.columns() == (0.0, rep.n_fu, rep.n_fill)
 
@@ -100,12 +96,25 @@ def test_solve_problem_uses_default_start():
 
 
 def test_no_restart_pick_after_the_last_round():
-    # Round 2 does not improve on round 1; no round follows, so the 2n
-    # neighbors of its result are not evaluated to pick a restart.
+    # Round 2 does not improve on round 1 and ends the run; nothing is
+    # evaluated after its result.
     rep = solve_problem(get_problem("booth"), cfg=SolverConfig(max_outer_iterations=2))
     assert rep.columns() == (0.0, 864, 757)
     assert rep.termination == "max_iterations"
     assert rep.events[-1]["kind"] == "outer_result"
+
+
+def test_every_round_starts_from_the_incumbent():
+    # Round 1 reaches booth's minimum (1, 3); rounds 2 and 3 do not improve
+    # on it, and each starts there again instead of at a neighbor of its
+    # predecessor's result.
+    rep = solve_problem(get_problem("booth"))
+    assert rep.columns() == (0.0, 1170, 1037)
+    assert rep.termination == "max_iterations"
+    assert {e["kind"] for e in rep.events} <= EVENT_KINDS
+    later = [e for e in rep.events if e["kind"] == "anchor" and e["outer"] > 1]
+    assert {e["outer"] for e in later} == {2, 3}
+    assert all(e["point"] == (1, 3) for e in later)
 
 
 @pytest.mark.parametrize(
