@@ -14,7 +14,9 @@ scaled problems the classic minimizer ``(x, y)`` appears here as
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
+import numbers
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,10 +52,6 @@ def expand_start_pattern(pattern: Sequence[int], n: int) -> tuple[int, ...]:
     if not pattern:
         raise ParameterError("empty start pattern")
     return tuple(itertools.islice(itertools.cycle(int(v) for v in pattern), n))
-
-
-def _uniform_box(n: int, lo: int, hi: int) -> BoxDomain:
-    return BoxDomain(np.full(n, lo), np.full(n, hi))
 
 
 def rosenbrock_value(x: np.ndarray) -> float:
@@ -148,193 +146,69 @@ def salomon_value(x: np.ndarray) -> float:
     return float(1.0 - np.cos(2.0 * np.pi * root) + 0.1 * root)
 
 
-def _fixed_n(name: str, n: int | None, required: int) -> int:
-    if n is not None and n != required:
-        raise ParameterError(f"{name} is defined only for n={required}")
-    return required
-
-
-def make_rosenbrock(n: int | None = None) -> BenchmarkProblem:
-    n = n or 2
-    if n < 2:
-        raise ParameterError("rosenbrock needs n >= 2")
-    return BenchmarkProblem(
-        name="rosenbrock",
-        box=_uniform_box(n, -5, 5),
-        func=rosenbrock_value,
-        known_minimizer=(1,) * n,
-        known_value=0.0,
-        default_start=expand_start_pattern((3,), n),
-    )
-
-
-def make_rastrigin(n: int | None = None) -> BenchmarkProblem:
-    n = n or 2
-    if n < 1:
-        raise ParameterError("rastrigin needs n >= 1")
-    return BenchmarkProblem(
-        name="rastrigin",
-        box=_uniform_box(n, -5, 5),
-        func=rastrigin_value,
-        known_minimizer=(0,) * n,
-        known_value=0.0,
-        default_start=expand_start_pattern((-1,), n),
-    )
-
-
-def make_colville(n: int | None = None) -> BenchmarkProblem:
-    n = _fixed_n("colville", n, 4)
-    return BenchmarkProblem(
-        name="colville",
-        box=_uniform_box(n, -10, 10),
-        func=colville_value,
-        known_minimizer=(1, 1, 1, 1),
-        known_value=0.0,
-        default_start=(0, 0, 0, 0),
-    )
-
-
-def make_goldstein_price(n: int | None = None) -> BenchmarkProblem:
-    n = _fixed_n("goldstein-price", n, 2)
-    return BenchmarkProblem(
-        name="goldstein-price",
-        box=_uniform_box(n, -2000, 2000),
-        func=goldstein_price_value,
-        known_minimizer=(0, -1000),
-        known_value=3.0,
-        default_start=(1, -1),
-        divisor=1000.0,
-    )
-
-
-def make_beale(n: int | None = None) -> BenchmarkProblem:
-    n = _fixed_n("beale", n, 2)
-    return BenchmarkProblem(
-        name="beale",
-        box=_uniform_box(n, -10000, 10000),
-        func=beale_value,
-        known_minimizer=(3000, 500),
-        known_value=0.0,
-        default_start=(0, 0),
-        divisor=1000.0,
-    )
-
-
-def make_powell_singular(n: int | None = None) -> BenchmarkProblem:
-    n = _fixed_n("powell-singular", n, 4)
-    return BenchmarkProblem(
-        name="powell-singular",
-        box=_uniform_box(n, -10000, 10000),
-        func=powell_singular_value,
-        known_minimizer=(0, 0, 0, 0),
-        known_value=0.0,
-        default_start=(10, -10, 10, -10),
-        divisor=1000.0,
-    )
-
-
-def make_booth(n: int | None = None) -> BenchmarkProblem:
-    n = _fixed_n("booth", n, 2)
-    return BenchmarkProblem(
-        name="booth",
-        box=_uniform_box(n, -10, 10),
-        func=booth_value,
-        known_minimizer=(1, 3),
-        known_value=0.0,
-        default_start=(0, 0),
-    )
-
-
-def make_quadratic_chain(n: int | None = None) -> BenchmarkProblem:
-    n = _fixed_n("quadratic-chain", n, 25)
-    return BenchmarkProblem(
-        name="quadratic-chain",
-        box=_uniform_box(n, -5, 5),
-        func=quadratic_chain_value,
-        known_minimizer=(1,) * n,
-        known_value=0.0,
-        default_start=expand_start_pattern((2,), n),
-    )
-
-
-def make_three_hump_camel(n: int | None = None) -> BenchmarkProblem:
-    n = _fixed_n("three-hump-camel", n, 2)
-    return BenchmarkProblem(
-        name="three-hump-camel",
-        box=_uniform_box(n, -5, 5),
-        func=three_hump_camel_value,
-        known_minimizer=(0, 0),
-        known_value=0.0,
-        default_start=(2, 2),
-    )
-
-
-def make_schaffer_n1(n: int | None = None) -> BenchmarkProblem:
-    n = _fixed_n("schaffer-n1", n, 2)
-    return BenchmarkProblem(
-        name="schaffer-n1",
-        box=_uniform_box(n, -100, 100),
-        func=schaffer_n1_value,
-        known_minimizer=(0, 0),
-        known_value=0.0,
-        default_start=(-50, 50),
-    )
-
-
-def make_leon(n: int | None = None) -> BenchmarkProblem:
-    n = _fixed_n("leon", n, 2)
-    return BenchmarkProblem(
-        name="leon",
-        box=_uniform_box(n, 0, 10),
-        func=leon_value,
-        known_minimizer=(1, 1),
-        known_value=0.0,
-        default_start=(10, 10),
-    )
-
-
-def make_salomon(n: int | None = None) -> BenchmarkProblem:
-    n = n or 2
-    if n < 1:
-        raise ParameterError("salomon needs n >= 1")
-    return BenchmarkProblem(
-        name="salomon",
-        box=_uniform_box(n, -100, 100),
-        func=salomon_value,
-        known_minimizer=(0,) * n,
-        known_value=0.0,
-        default_start=expand_start_pattern((-100, 100), n),
-    )
-
-
-PROBLEM_FACTORIES: dict[str, Callable[[int | None], BenchmarkProblem]] = {
-    "rosenbrock": make_rosenbrock,
-    "rastrigin": make_rastrigin,
-    "colville": make_colville,
-    "goldstein-price": make_goldstein_price,
-    "beale": make_beale,
-    "powell-singular": make_powell_singular,
-    "booth": make_booth,
-    "quadratic-chain": make_quadratic_chain,
-    "three-hump-camel": make_three_hump_camel,
-    "schaffer-n1": make_schaffer_n1,
-    "leon": make_leon,
-    "salomon": make_salomon,
+# name: (formula, n, scalable, lower, upper, minimizer, start, known value,
+# divisor). A scalable problem defaults to n = 2 and needs at least n; the
+# minimizer and start patterns cycle out to the dimension. Formulas are named,
+# not held, because the benchmark tracer wraps the module attributes.
+_TABLE: dict[str, tuple] = {
+    "rosenbrock": ("rosenbrock_value", 2, True, -5, 5, (1,), (3,), 0.0, 1.0),
+    "rastrigin": ("rastrigin_value", 1, True, -5, 5, (0,), (-1,), 0.0, 1.0),
+    "colville": ("colville_value", 4, False, -10, 10, (1,), (0,), 0.0, 1.0),
+    "goldstein-price": (
+        "goldstein_price_value", 2, False, -2000, 2000, (0, -1000), (1, -1), 3.0, 1000.0
+    ),
+    "beale": ("beale_value", 2, False, -10000, 10000, (3000, 500), (0,), 0.0, 1000.0),
+    "powell-singular": (
+        "powell_singular_value", 4, False, -10000, 10000, (0,), (10, -10), 0.0, 1000.0
+    ),
+    "booth": ("booth_value", 2, False, -10, 10, (1, 3), (0,), 0.0, 1.0),
+    "quadratic-chain": (
+        "quadratic_chain_value", 25, False, -5, 5, (1,), (2,), 0.0, 1.0
+    ),
+    "three-hump-camel": (
+        "three_hump_camel_value", 2, False, -5, 5, (0,), (2,), 0.0, 1.0
+    ),
+    "schaffer-n1": (
+        "schaffer_n1_value", 2, False, -100, 100, (0,), (-50, 50), 0.0, 1.0
+    ),
+    "leon": ("leon_value", 2, False, 0, 10, (1,), (10,), 0.0, 1.0),
+    "salomon": ("salomon_value", 1, True, -100, 100, (0,), (-100, 100), 0.0, 1.0),
 }
 
 
 def get_problem(name: str, n: int | None = None) -> BenchmarkProblem:
+    """Build a table problem at dimension ``n`` (None: its default)."""
     try:
-        factory = PROBLEM_FACTORIES[name]
+        formula, dim, scalable, lo, hi, minimizer, start, value, divisor = _TABLE[name]
     except KeyError:
-        known = ", ".join(PROBLEM_FACTORIES)
-        raise ParameterError(f"unknown problem {name!r}; known: {known}")
-    return factory(n)
+        known = ", ".join(_TABLE)
+        raise ParameterError(f"unknown problem {name!r}; known: {known}") from None
+    if n is not None and not isinstance(n, numbers.Integral):
+        raise ParameterError(f"{name}: dimension must be an integer, got {n!r}")
+    if not scalable and n not in (None, dim):
+        raise ParameterError(f"{name} is defined only for n={dim}")
+    n = (n or 2) if scalable else dim
+    if n < dim:
+        raise ParameterError(f"{name} needs n >= {dim}")
+    return BenchmarkProblem(
+        name=name,
+        box=BoxDomain(np.full(n, lo), np.full(n, hi)),
+        func=globals()[formula],
+        known_minimizer=expand_start_pattern(minimizer, n),
+        known_value=value,
+        default_start=expand_start_pattern(start, n),
+        divisor=divisor,
+    )
+
+
+PROBLEM_FACTORIES: dict[str, Callable[[int | None], BenchmarkProblem]] = {
+    name: functools.partial(get_problem, name) for name in _TABLE
+}
 
 
 def registry() -> list[BenchmarkProblem]:
     """All twelve problems at their default dimensions."""
-    return [factory(None) for factory in PROBLEM_FACTORIES.values()]
+    return [get_problem(name) for name in _TABLE]
 
 
 BRUTE_FORCE_GUARD = 10**7

@@ -16,6 +16,8 @@ Conventions:
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -114,17 +116,12 @@ class BoxDomain:
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
         """Project onto the box, preserving integer or float dtype."""
-        arr = np.asarray(x)
-        if arr.dtype.kind == "f":
-            return np.clip(arr, self.lower.astype(float), self.upper.astype(float))
-        return np.clip(arr.astype(np.int64), self.lower, self.upper)
+        return np.clip(x, self.lower, self.upper)
 
     def feasible_size(self) -> int:
         # Python ints: side products overflow int64 already at n ~ 10.
-        size = 1
-        for lo, hi in zip(self.lower, self.upper):
-            size *= int(hi) - int(lo) + 1
-        return size
+        sides = (int(hi) - int(lo) + 1 for lo, hi in zip(self.lower, self.upper))
+        return math.prod(sides)
 
     def random_point(self, rng: np.random.Generator) -> IntPoint:
         return rng.integers(self.lower, self.upper, endpoint=True, dtype=np.int64)
@@ -132,19 +129,7 @@ class BoxDomain:
     def iter_points(self) -> Iterator[IntPoint]:
         """Lexicographic enumeration of every lattice point in the box."""
         ranges = [range(int(lo), int(hi) + 1) for lo, hi in zip(self.lower, self.upper)]
-        idx = [r.start for r in ranges]
-        n = self.dimension
-        while True:
-            yield np.array(idx, dtype=np.int64)
-            k = n - 1
-            while k >= 0:
-                idx[k] += 1
-                if idx[k] <= ranges[k].stop - 1:
-                    break
-                idx[k] = ranges[k].start
-                k -= 1
-            if k < 0:
-                return
+        return (np.array(p, dtype=np.int64) for p in itertools.product(*ranges))
 
 
 def round_point(x: np.ndarray) -> IntPoint:

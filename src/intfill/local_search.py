@@ -13,6 +13,9 @@ neighborhood with a fixed scan order for ties.
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -47,6 +50,19 @@ class SearchTrace:
         return self.values[-1]
 
 
+def _check_option_types(minimizer, label: str) -> None:
+    """Every option is a finite number, and an int where annotated ``int``."""
+    for field in dataclasses.fields(minimizer):
+        value = getattr(minimizer, field.name)
+        count = field.type in ("int", int)
+        ok = isinstance(value, numbers.Integral if count else numbers.Real)
+        if isinstance(value, bool) or not (ok and math.isfinite(value)):
+            want = "an int" if count else "a finite number"
+            raise ParameterError(
+                f"{label} option {field.name} must be {want}, got {value!r}"
+            )
+
+
 @dataclasses.dataclass
 class CompassSearch:
     """Pattern search polling the 2n axis directions.
@@ -68,6 +84,7 @@ class CompassSearch:
     max_iterations: int = 10_000
 
     def __post_init__(self) -> None:
+        _check_option_types(self, "compass")
         if self.initial_step <= 0 or not (0 < self.shrink < 1) or self.step_tol <= 0:
             raise ParameterError(f"bad compass options: {self}")
         if self.expand < 1:
@@ -133,6 +150,7 @@ class QuasiNewton:
     max_line_failures: int = 5
 
     def __post_init__(self) -> None:
+        _check_option_types(self, "quasi-newton")
         if self.grad_step <= 0 or self.grad_tol <= 0:
             raise ParameterError(f"bad quasi-newton options: {self}")
         if not (0 < self.backtrack_factor < 1) or not (0 < self.armijo_c1 < 1):
@@ -248,7 +266,15 @@ def make_minimizer(method: str, options: dict | None = None):
     except KeyError:
         known = ", ".join(sorted(MINIMIZERS))
         raise ParameterError(f"unknown minimizer {method!r}; known: {known}")
-    return cls(**(options or {}))
+    options = options or {}
+    # A signature lookup costs ~40 us, and most calls pass no options.
+    valid = list(inspect.signature(cls).parameters) if options else []
+    unknown = sorted(set(options) - set(valid))
+    if unknown:
+        raise ParameterError(
+            f"unknown {method} options {unknown}; valid: {', '.join(valid)}"
+        )
+    return cls(**options)
 
 
 def minimize_continuous(

@@ -1,4 +1,6 @@
 """Tests for the benchmark registry and the enumeration oracle."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from intfill.benchmarks import (
     registry,
 )
 from intfill.core import BoxDomain, ParameterError
+from intfill.solver import SolverConfig, solve_problem
 
 CANONICAL_NAMES = [
     "rosenbrock",
@@ -109,17 +112,135 @@ def test_variable_dimension_problems():
         get_problem("rosenbrock", 1)
 
 
+# Recorded from the per-problem factories the table replaced:
+# (dimension, lower, upper, known_minimizer, known_value, default_start,
+# divisor, formula name) at each problem's default dimension.
+REGISTRY_PIN = {
+    "rosenbrock": (2, (-5, -5), (5, 5), (1, 1), 0.0, (3, 3), 1.0, "rosenbrock_value"),
+    "rastrigin": (2, (-5, -5), (5, 5), (0, 0), 0.0, (-1, -1), 1.0, "rastrigin_value"),
+    "colville": (
+        4, (-10,) * 4, (10,) * 4, (1, 1, 1, 1), 0.0, (0, 0, 0, 0), 1.0, "colville_value"
+    ),
+    "goldstein-price": (
+        2, (-2000, -2000), (2000, 2000), (0, -1000), 3.0, (1, -1), 1000.0,
+        "goldstein_price_value",
+    ),
+    "beale": (
+        2, (-10000,) * 2, (10000,) * 2, (3000, 500), 0.0, (0, 0), 1000.0, "beale_value"
+    ),
+    "powell-singular": (
+        4, (-10000,) * 4, (10000,) * 4, (0, 0, 0, 0), 0.0, (10, -10, 10, -10), 1000.0,
+        "powell_singular_value",
+    ),
+    "booth": (2, (-10, -10), (10, 10), (1, 3), 0.0, (0, 0), 1.0, "booth_value"),
+    "quadratic-chain": (
+        25, (-5,) * 25, (5,) * 25, (1,) * 25, 0.0, (2,) * 25, 1.0,
+        "quadratic_chain_value",
+    ),
+    "three-hump-camel": (
+        2, (-5, -5), (5, 5), (0, 0), 0.0, (2, 2), 1.0, "three_hump_camel_value"
+    ),
+    "schaffer-n1": (
+        2, (-100, -100), (100, 100), (0, 0), 0.0, (-50, 50), 1.0, "schaffer_n1_value"
+    ),
+    "leon": (2, (0, 0), (10, 10), (1, 1), 0.0, (10, 10), 1.0, "leon_value"),
+    "salomon": (
+        2, (-100, -100), (100, 100), (0, 0), 0.0, (-100, 100), 1.0, "salomon_value"
+    ),
+}
+
+
+def _pin(p):
+    return (
+        p.dimension,
+        tuple(p.box.lower.tolist()),
+        tuple(p.box.upper.tolist()),
+        p.known_minimizer,
+        p.known_value,
+        p.default_start,
+        p.divisor,
+        p.func.__name__,
+    )
+
+
+def test_registry_pins_every_problem_at_its_default_dimension():
+    assert {p.name: _pin(p) for p in registry()} == REGISTRY_PIN
+    for name, factory in PROBLEM_FACTORIES.items():
+        assert _pin(factory(None)) == REGISTRY_PIN[name]
+
+
+# Scalable problems: bound, smallest n, minimizer coordinate, start pattern.
+# n = 0 selects the default dimension 2, like n = None.
+SCALABLE_PIN = [
+    ("rosenbrock", 5, 2, 1, (3,)),
+    ("rastrigin", 5, 1, 0, (-1,)),
+    ("salomon", 100, 1, 0, (-100, 100)),
+]
+
+
+@pytest.mark.parametrize("name,bound,least,coord,pattern", SCALABLE_PIN)
+def test_scalable_problems_pin_every_dimension_up_to_ten(
+    name, bound, least, coord, pattern
+):
+    for n in range(11):
+        m = n or 2
+        if m < least:
+            with pytest.raises(ParameterError, match=f"needs n >= {least}"):
+                get_problem(name, n)
+            continue
+        expected = (
+            m,
+            (-bound,) * m,
+            (bound,) * m,
+            (coord,) * m,
+            0.0,
+            (pattern * 10)[:m],
+            1.0,
+            name + "_value",
+        )
+        assert _pin(get_problem(name, n)) == expected
+        assert _pin(PROBLEM_FACTORIES[name](n)) == expected
+
+
+@pytest.mark.parametrize("name", ["rosenbrock", "colville"])
+@pytest.mark.parametrize("n", ["x", "4", 2.5, 4.0])
+def test_non_integer_dimension_is_a_parameter_error(name, n):
+    with pytest.raises(ParameterError):
+        get_problem(name, n)
+
+
 def test_fixed_dimension_problems_reject_override():
     assert get_problem("colville", 4).dimension == 4
-    with pytest.raises(ParameterError):
-        get_problem("colville", 7)
+    for n in (0, 7):
+        with pytest.raises(ParameterError, match="colville is defined only for n=4"):
+            get_problem("colville", n)
     with pytest.raises(ParameterError):
         get_problem("quadratic-chain", 10)
 
 
 def test_unknown_problem():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="unknown problem 'sphere'"):
         get_problem("sphere")
+
+
+def test_tracer_sees_every_formula_call_of_a_problem_built_after_install(
+    monkeypatch,
+):
+    # The benchmark tracer replaces each formula's module attribute with a
+    # counting wrapper, then builds its problems; a problem must pick its
+    # formula up at build time for the tracer's evaluation-closure check.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import tracer
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        problem = get_problem("booth")
+        solve_problem(problem, problem.default_start, SolverConfig())
+    finally:
+        t.uninstall()
+    assert t.violations == []
+    assert t.stat("benchmarks.formula").calls > 0
 
 
 def test_expand_start_pattern():

@@ -187,12 +187,16 @@ def test_main_matrix_from_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_main_matrix_records_untyped_row_errors(tmp_path, capsys, jobs):
-    # A bad minimizer option raises TypeError inside the solve; the row
-    # records it and the batch goes on.
+    # Bad minimizer options are typed errors; a start pattern that is not a
+    # sequence raises TypeError inside the run. Each row records its error
+    # and the batch goes on.
+    filled_options = {"filled_minimizer_options": {"foo": 1}}
+    objective_options = {"objective_minimizer_options": {"grad_step": "x"}}
     config = {
         "runs": [
-            {"problem": "booth", "config": {"filled_minimizer_options": {"foo": 1}}},
-            {"problem": "booth", "config": {"objective_minimizer_options": {"grad_step": "x"}}},
+            {"problem": "booth", "config": filled_options},
+            {"problem": "booth", "config": objective_options},
+            {"problem": "booth", "start_pattern": 5},
             {"problem": "booth"},
         ],
     }
@@ -200,11 +204,12 @@ def test_main_matrix_records_untyped_row_errors(tmp_path, capsys, jobs):
     cfg_path.write_text(json.dumps(config))
     assert main(["matrix", str(cfg_path), "--output-dir", str(tmp_path),
                  "--name", "bad", "--jobs", jobs]) == 0
-    assert "hit rate: 1/3 (2 errors)" in capsys.readouterr().out
+    assert "hit rate: 1/4 (3 errors)" in capsys.readouterr().out
     records = read_records_csv(tmp_path / "bad.csv")
-    assert [r["error"].split(":")[0] for r in records[:2]] == ["TypeError"] * 2
-    assert "foo" in records[0]["error"]
-    assert records[2]["error"] is None and records[2]["hit"] is True
+    assert "unknown compass options ['foo']" in records[0]["error"]
+    assert "quasi-newton option grad_step" in records[1]["error"]
+    assert records[2]["error"] == "TypeError: 'int' object is not iterable"
+    assert records[3]["error"] is None and records[3]["hit"] is True
 
 
 def test_main_matrix_deterministic_tables(tmp_path):

@@ -205,6 +205,48 @@ def test_make_minimizer_dispatch_and_options():
         make_minimizer("annealing")
 
 
+def test_make_minimizer_rejects_unknown_option_names():
+    with pytest.raises(ParameterError, match=r"compass options \['foo'\]; valid"):
+        make_minimizer("compass", {"foo": 1})
+
+
+def test_non_numeric_grad_step_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="quasi-newton option grad_step"):
+        make_minimizer("quasi-newton", {"grad_step": "x"})
+
+
+def test_non_numeric_compass_step_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="compass option initial_step"):
+        CompassSearch(initial_step="x")
+
+
+def test_string_count_is_rejected_when_the_minimizer_is_built():
+    with pytest.raises(ParameterError, match="quasi-newton option max_iterations"):
+        make_minimizer("quasi-newton", {"max_iterations": "5"})
+
+
+@pytest.mark.parametrize(
+    "cls,option,value",
+    [
+        (CompassSearch, "shrink", True),
+        (CompassSearch, "step_tol", float("nan")),
+        (CompassSearch, "expand", float("inf")),
+        (CompassSearch, "max_iterations", 5.0),
+        (QuasiNewton, "grad_tol", float("nan")),
+        (QuasiNewton, "max_backtracks", 2.5),
+        (QuasiNewton, "max_line_failures", False),
+    ],
+)
+def test_malformed_option_values_name_minimizer_and_option(cls, option, value):
+    with pytest.raises(ParameterError, match=f"option {option} must be"):
+        cls(**{option: value})
+
+
+def test_integer_and_numpy_option_values_are_accepted():
+    assert CompassSearch(initial_step=2, expand=np.float64(3.0)).initial_step == 2
+    assert QuasiNewton(max_iterations=np.int64(7)).max_iterations == 7
+
+
 def test_minimize_continuous_matches_direct_call():
     x1, t1 = minimize_continuous(sphere, np.array([3.0, 3.0]), box2(), "compass")
     x2, t2 = CompassSearch().minimize(sphere, np.array([3.0, 3.0]), box2())
