@@ -146,40 +146,30 @@ def salomon_value(x: np.ndarray) -> float:
     return float(1.0 - np.cos(2.0 * np.pi * root) + 0.1 * root)
 
 
-# name: (formula, n, scalable, lower, upper, minimizer, start, known value,
-# divisor). A scalable problem defaults to n = 2 and needs at least n; the
-# minimizer and start patterns cycle out to the dimension. Formulas are named,
-# not held, because the benchmark tracer wraps the module attributes.
+# name: (n, scalable, lower, upper, minimizer, start, known value, divisor).
+# A scalable problem defaults to n = 2 and needs at least n; the minimizer and
+# start patterns cycle out to the dimension. The formula is <name>_value, looked
+# up when a problem is built, because the benchmark tracer wraps those attributes.
 _TABLE: dict[str, tuple] = {
-    "rosenbrock": ("rosenbrock_value", 2, True, -5, 5, (1,), (3,), 0.0, 1.0),
-    "rastrigin": ("rastrigin_value", 1, True, -5, 5, (0,), (-1,), 0.0, 1.0),
-    "colville": ("colville_value", 4, False, -10, 10, (1,), (0,), 0.0, 1.0),
-    "goldstein-price": (
-        "goldstein_price_value", 2, False, -2000, 2000, (0, -1000), (1, -1), 3.0, 1000.0
-    ),
-    "beale": ("beale_value", 2, False, -10000, 10000, (3000, 500), (0,), 0.0, 1000.0),
-    "powell-singular": (
-        "powell_singular_value", 4, False, -10000, 10000, (0,), (10, -10), 0.0, 1000.0
-    ),
-    "booth": ("booth_value", 2, False, -10, 10, (1, 3), (0,), 0.0, 1.0),
-    "quadratic-chain": (
-        "quadratic_chain_value", 25, False, -5, 5, (1,), (2,), 0.0, 1.0
-    ),
-    "three-hump-camel": (
-        "three_hump_camel_value", 2, False, -5, 5, (0,), (2,), 0.0, 1.0
-    ),
-    "schaffer-n1": (
-        "schaffer_n1_value", 2, False, -100, 100, (0,), (-50, 50), 0.0, 1.0
-    ),
-    "leon": ("leon_value", 2, False, 0, 10, (1,), (10,), 0.0, 1.0),
-    "salomon": ("salomon_value", 1, True, -100, 100, (0,), (-100, 100), 0.0, 1.0),
+    "rosenbrock": (2, True, -5, 5, (1,), (3,), 0.0, 1.0),
+    "rastrigin": (1, True, -5, 5, (0,), (-1,), 0.0, 1.0),
+    "colville": (4, False, -10, 10, (1,), (0,), 0.0, 1.0),
+    "goldstein-price": (2, False, -2000, 2000, (0, -1000), (1, -1), 3.0, 1000.0),
+    "beale": (2, False, -10000, 10000, (3000, 500), (0,), 0.0, 1000.0),
+    "powell-singular": (4, False, -10000, 10000, (0,), (10, -10), 0.0, 1000.0),
+    "booth": (2, False, -10, 10, (1, 3), (0,), 0.0, 1.0),
+    "quadratic-chain": (25, False, -5, 5, (1,), (2,), 0.0, 1.0),
+    "three-hump-camel": (2, False, -5, 5, (0,), (2,), 0.0, 1.0),
+    "schaffer-n1": (2, False, -100, 100, (0,), (-50, 50), 0.0, 1.0),
+    "leon": (2, False, 0, 10, (1,), (10,), 0.0, 1.0),
+    "salomon": (1, True, -100, 100, (0,), (-100, 100), 0.0, 1.0),
 }
 
 
 def get_problem(name: str, n: int | None = None) -> BenchmarkProblem:
     """Build a table problem at dimension ``n`` (None: its default)."""
     try:
-        formula, dim, scalable, lo, hi, minimizer, start, value, divisor = _TABLE[name]
+        dim, scalable, lo, hi, minimizer, start, value, divisor = _TABLE[name]
     except KeyError:
         known = ", ".join(_TABLE)
         raise ParameterError(f"unknown problem {name!r}; known: {known}") from None
@@ -193,7 +183,7 @@ def get_problem(name: str, n: int | None = None) -> BenchmarkProblem:
     return BenchmarkProblem(
         name=name,
         box=BoxDomain(np.full(n, lo), np.full(n, hi)),
-        func=globals()[formula],
+        func=globals()[name.replace("-", "_") + "_value"],
         known_minimizer=expand_start_pattern(minimizer, n),
         known_value=value,
         default_start=expand_start_pattern(start, n),

@@ -13,6 +13,7 @@ neighborhood with a fixed scan order for ties.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import math
 import numbers
@@ -56,7 +57,11 @@ def _check_option_types(minimizer, label: str) -> None:
         value = getattr(minimizer, field.name)
         count = field.type in ("int", int)
         ok = isinstance(value, numbers.Integral if count else numbers.Real)
-        if isinstance(value, bool) or not (ok and math.isfinite(value)):
+        try:  # a count may exceed the float range, a float option may not
+            ok = ok and (count or math.isfinite(value))
+        except OverflowError:
+            ok = False
+        if isinstance(value, bool) or not ok:
             want = "an int" if count else "a finite number"
             raise ParameterError(
                 f"{label} option {field.name} must be {want}, got {value!r}"
@@ -260,6 +265,12 @@ MINIMIZERS: dict[str, type] = {
 }
 
 
+@functools.cache
+def _option_names(cls: type) -> tuple[str, ...]:
+    # Any MINIMIZERS class, dataclass or not; cached, as each escape builds one.
+    return tuple(inspect.signature(cls).parameters)
+
+
 def make_minimizer(method: str, options: dict | None = None):
     try:
         cls = MINIMIZERS[method]
@@ -267,8 +278,7 @@ def make_minimizer(method: str, options: dict | None = None):
         known = ", ".join(sorted(MINIMIZERS))
         raise ParameterError(f"unknown minimizer {method!r}; known: {known}")
     options = options or {}
-    # A signature lookup costs ~40 us, and most calls pass no options.
-    valid = list(inspect.signature(cls).parameters) if options else []
+    valid = _option_names(cls)
     unknown = sorted(set(options) - set(valid))
     if unknown:
         raise ParameterError(

@@ -232,6 +232,7 @@ def test_string_count_is_rejected_when_the_minimizer_is_built():
         (CompassSearch, "step_tol", float("nan")),
         (CompassSearch, "expand", float("inf")),
         (CompassSearch, "max_iterations", 5.0),
+        (CompassSearch, "initial_step", 10**400),
         (QuasiNewton, "grad_tol", float("nan")),
         (QuasiNewton, "max_backtracks", 2.5),
         (QuasiNewton, "max_line_failures", False),
@@ -245,6 +246,12 @@ def test_malformed_option_values_name_minimizer_and_option(cls, option, value):
 def test_integer_and_numpy_option_values_are_accepted():
     assert CompassSearch(initial_step=2, expand=np.float64(3.0)).initial_step == 2
     assert QuasiNewton(max_iterations=np.int64(7)).max_iterations == 7
+
+
+def test_count_beyond_the_float_range_is_accepted():
+    m = make_minimizer("compass", {"max_iterations": 10**400})
+    x, trace = m.minimize(sphere, np.array([3.0, 3.0]), box2())
+    assert trace.termination == "converged"
 
 
 def test_minimize_continuous_matches_direct_call():
@@ -286,6 +293,21 @@ def test_contract_catches_randomized_minimizer():
         assert not bool(report)
     finally:
         del MINIMIZERS["jitter"]
+
+
+def test_custom_minimizer_rejects_unknown_option_names():
+    class Fixed:
+        def __init__(self, step=1.0):
+            self.step = step
+
+    MINIMIZERS["fixed"] = Fixed
+    try:
+        assert make_minimizer("fixed", {"step": 2.0}).step == 2.0
+        message = r"fixed options \['foo'\]; valid: step"
+        with pytest.raises(ParameterError, match=message):
+            make_minimizer("fixed", {"foo": 1})
+    finally:
+        del MINIMIZERS["fixed"]
 
 
 # ---------------------------------------------------------------- discrete descent
