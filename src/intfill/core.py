@@ -115,8 +115,13 @@ class BoxDomain:
         return bool(np.all(arr >= self.lower) and np.all(arr <= self.upper))
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
-        """Project onto the box, preserving integer or float dtype."""
-        return np.clip(x, self.lower, self.upper)
+        """Project onto the box, preserving integer or float dtype.
+
+        Bit for bit ``np.clip(x, lower, upper)``: NaN passes through and
+        a signed zero tied with a bound becomes the bound; two ufunc
+        calls skip ``np.clip``'s Python-level dispatch.
+        """
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
     def feasible_size(self) -> int:
         # Python ints: side products overflow int64 already at n ~ 10.

@@ -18,7 +18,9 @@ more, so minimizing it drains trajectories into improving regions.
 
 For searches run in the continuous relaxation, ``AugmentedFilled`` adds
 ``|F(x)| * sum_i sin^2(pi x_i)``, a penalty that vanishes exactly on
-the lattice and pushes minimizers toward integer coordinates.
+the lattice and pushes minimizers toward integer coordinates. An
+integer-dtype argument is a lattice point, where the penalty is not
+computed at all.
 """
 from __future__ import annotations
 
@@ -148,6 +150,7 @@ class InverseSquareFilled:
             raise ParameterError(f"ramp margin must be positive, got {r}")
         self.objective = objective
         self.anchor = np.asarray(anchor, dtype=np.int64)
+        self._anchor_real = self.anchor.astype(float)
         self.anchor_value = float(anchor_value)
         self.r = float(r)
         self.min_excess = np.inf
@@ -173,14 +176,17 @@ class InverseSquareFilled:
         excess = fx - self.anchor_value
         if excess < self.min_excess:
             self.min_excess = excess
-        return filled_value(x, self.anchor, self.anchor_value, fx, self.r)
+        return filled_value(x, self._anchor_real, self.anchor_value, fx, self.r)
 
 
 class AugmentedFilled:
     """Filled value plus the lattice-attracting penalty.
 
     On lattice points the penalty term is exactly 0.0, so augmented and
-    raw values agree bit for bit there.
+    raw values agree bit for bit there. An integer-dtype argument is a
+    lattice point, and its raw value is returned without computing the
+    penalty: ``raw + abs(raw) * 0.0 == raw`` for every value ``raw`` can
+    take (finite or NaN), so both dtypes give the same result.
     """
 
     def __init__(self, base: InverseSquareFilled) -> None:
@@ -188,6 +194,8 @@ class AugmentedFilled:
 
     def __call__(self, x: np.ndarray) -> float:
         raw = self.base.raw(x)
+        if np.asarray(x).dtype.kind in "iu":
+            return raw
         return raw + abs(raw) * lattice_penalty(x)
 
 

@@ -26,7 +26,6 @@ from .core import (
     IntPoint,
     ParameterError,
     as_real_point,
-    axis_directions,
     neighborhood,
 )
 
@@ -35,20 +34,13 @@ Objective = Callable[[np.ndarray], float]
 
 @dataclasses.dataclass
 class SearchTrace:
-    """Accepted iterates of one minimizer run."""
+    """Outcome of one minimizer run: start and final values, accepted steps."""
 
-    points: list[np.ndarray]
-    values: list[float]
+    start_value: float
+    final_value: float
+    accepted_steps: int
     termination: str
     n_evaluations: int
-
-    @property
-    def start_value(self) -> float:
-        return self.values[0]
-
-    @property
-    def final_value(self) -> float:
-        return self.values[-1]
 
 
 def _check_option_types(minimizer, label: str) -> None:
@@ -77,9 +69,11 @@ class CompassSearch:
     shrinks. A successful round multiplies the step by ``expand``, capped
     at the widest extent of the box; the default 1 keeps the step fixed,
     and an integer factor from an integer step keeps every poll of a
-    lattice start on the lattice until the first shrink. Polls that
-    project back onto the current point (at a face of the box) are
-    skipped without evaluation.
+    lattice start on the lattice until the first shrink. Such iterates,
+    and the points passed to ``fn``, are ``int64`` arrays until that
+    shrink and ``float64`` after it; the returned point is ``float64``.
+    Polls that project back onto the current point (at a face of the
+    box) are skipped without evaluation.
     """
 
     initial_step: float = 1.0
@@ -99,13 +93,21 @@ class CompassSearch:
         self, fn: Objective, x0: np.ndarray, box: BoxDomain
     ) -> tuple[np.ndarray, SearchTrace]:
         x = box.clamp(as_real_point(x0))
-        fx = float(fn(x))
-        nev = 1
-        points = [x.copy()]
-        values = [fx]
-        step = self.initial_step
+        step = float(self.initial_step)
+        # A poll moves one coordinate and clamps it in Python floats, which
+        # round as float64 arrays do: from a lattice point with an integral
+        # step every poll is a lattice point, so x stays int64 until a shrink,
+        # unless a bound rounds to +-2**63, which int64 cannot hold.
+        lo = box.lower.astype(float).tolist()
+        hi = box.upper.astype(float).tolist()
+        lattice = step.is_integer() and float(self.expand).is_integer()
+        if lattice and max(map(abs, lo + hi), default=0.0) < 2.0**63:
+            if np.all(x == np.rint(x)):
+                x = x.astype(np.int64)
+        fx = start_value = float(fn(x))
+        nev, steps = 1, 0
+        xs = x.tolist()
         widest = float(np.max(box.upper - box.lower, initial=0))
-        dirs = [d.astype(float) for d in axis_directions(box.dimension)]
         termination = "budget"
         for _ in range(self.max_iterations):
             if step < self.step_tol:
@@ -113,23 +115,28 @@ class CompassSearch:
                 break
             best: np.ndarray | None = None
             best_val = fx
-            for d in dirs:
-                y = box.clamp(x + step * d)
-                if np.array_equal(y, x):
-                    continue
-                v = float(fn(y))
-                nev += 1
-                if v < best_val:
-                    best, best_val = y, v
+            for i, xi in enumerate(xs):
+                for yi in (xi - step, xi + step):
+                    yi = min(max(yi, lo[i]), hi[i])
+                    if yi == xi:
+                        continue
+                    y = x.copy()
+                    y[i] = yi
+                    v = float(fn(y))
+                    nev += 1
+                    if v < best_val:
+                        best, best_val = y, v
             if best is None:
                 step *= self.shrink
+                x = as_real_point(x)
             else:
                 x, fx = best, best_val
-                points.append(x.copy())
-                values.append(fx)
+                xs = x.tolist()
+                steps += 1
                 if self.expand > 1:
                     step = min(step * self.expand, max(step, widest))
-        return x, SearchTrace(points, values, termination, nev)
+        trace = SearchTrace(start_value, fx, steps, termination, nev)
+        return as_real_point(x), trace
 
 
 @dataclasses.dataclass
@@ -162,17 +169,14 @@ class QuasiNewton:
             raise ParameterError(f"bad quasi-newton options: {self}")
 
     def _gradient(
-        self, fn: Objective, x: np.ndarray, box: BoxDomain
+        self, fn: Objective, x: np.ndarray, lo: list[float], hi: list[float]
     ) -> tuple[np.ndarray, int]:
-        n = x.shape[0]
-        g = np.zeros(n)
+        g = np.zeros(x.shape[0])
         nev = 0
-        lo = box.lower.astype(float)
-        hi = box.upper.astype(float)
-        for i in range(n):
-            h = self.grad_step * max(1.0, abs(float(x[i])))
-            up = min(float(x[i]) + h, hi[i])
-            dn = max(float(x[i]) - h, lo[i])
+        for i, xi in enumerate(x.tolist()):
+            h = self.grad_step * max(1.0, abs(xi))
+            up = min(xi + h, hi[i])
+            dn = max(xi - h, lo[i])
             spread = up - dn
             if spread == 0.0:
                 continue
@@ -188,10 +192,10 @@ class QuasiNewton:
         self, fn: Objective, x0: np.ndarray, box: BoxDomain
     ) -> tuple[np.ndarray, SearchTrace]:
         x = box.clamp(as_real_point(x0))
-        fx = float(fn(x))
-        nev = 1
-        points = [x.copy()]
-        values = [fx]
+        fx = start_value = float(fn(x))
+        nev, steps = 1, 0
+        lo = box.lower.astype(float).tolist()
+        hi = box.upper.astype(float).tolist()
         n = x.shape[0]
         ident = np.eye(n)
         hess_inv = ident.copy()
@@ -201,7 +205,7 @@ class QuasiNewton:
         line_failures = 0
         termination = "budget"
         for _ in range(self.max_iterations):
-            g, k = self._gradient(fn, x, box)
+            g, k = self._gradient(fn, x, lo, hi)
             nev += k
             if not np.all(np.isfinite(g)):
                 # A probe hit NaN or +inf: every direction built from g
@@ -234,7 +238,7 @@ class QuasiNewton:
             for _ in range(self.max_backtracks):
                 y = box.clamp(x + t * d)
                 move = y - x
-                if not np.any(move):
+                if not move.any():
                     break
                 v = float(fn(y))
                 nev += 1
@@ -242,8 +246,7 @@ class QuasiNewton:
                     prev_s = move
                     prev_g = g
                     x, fx = y, v
-                    points.append(x.copy())
-                    values.append(fx)
+                    steps += 1
                     accepted = True
                     break
                 t *= self.backtrack_factor
@@ -256,7 +259,7 @@ class QuasiNewton:
                     break
             else:
                 line_failures = 0
-        return x, SearchTrace(points, values, termination, nev)
+        return x, SearchTrace(start_value, fx, steps, termination, nev)
 
 
 MINIMIZERS: dict[str, type] = {
@@ -343,8 +346,8 @@ def verify_descent_contract(
 ) -> ContractReport:
     """Run a minimizer twice and compare bitwise; also check descent.
 
-    Determinism requires identical endpoints, values, and accepted
-    iterate counts across the two runs. Descent requires the final value
+    Determinism requires identical endpoints, final values, and accepted
+    step counts across the two runs. Descent requires the final value
     not to exceed the starting value (the projected start, if ``x0`` lay
     outside the box).
     """
@@ -353,7 +356,7 @@ def verify_descent_contract(
     deterministic = (
         np.array_equal(x1, x2)
         and t1.final_value == t2.final_value
-        and len(t1.points) == len(t2.points)
+        and t1.accepted_steps == t2.accepted_steps
     )
     descent = t1.final_value <= t1.start_value
     return ContractReport(deterministic, descent, t1.start_value, t1.final_value)

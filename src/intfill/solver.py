@@ -154,7 +154,7 @@ def _check_d1(
     # every neighbor must fall strictly below it.
     worst = -np.inf
     for nb in neighborhood(anchor, obj.box)[:-1]:
-        v = target(nb.astype(float))
+        v = target(nb)
         worst = max(worst, v)
     rec.d1_checks.append(
         {
@@ -257,9 +257,7 @@ def _generic(
                     bound=check.status,
                 )
                 if escaped:
-                    if is_discrete_local_min(
-                        lambda p: target(p.astype(float)), x_landed, box
-                    ):
+                    if is_discrete_local_min(target, x_landed, box):
                         pending_dc2 = f_star
                     x_start = x_prime
                     break

@@ -241,6 +241,11 @@ def test_tracer_sees_every_formula_call_of_a_problem_built_after_install(
         t.uninstall()
     assert t.violations == []
     assert t.stat("benchmarks.formula").calls > 0
+    # Every compass escape ends by shrinking its step off the lattice, where
+    # the penalty is computed; lattice polls skip it. A fused evaluation
+    # that bypassed the traced call chain would break one of these counts.
+    penalties = t.stat("filled.lattice_penalty").calls
+    assert 0 < penalties < t.stat("filled.augmented").calls
 
 
 def test_expand_start_pattern():

@@ -1,6 +1,9 @@
 """Tests for the filled-function construction and its safeguards."""
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from intfill.core import BoxDomain, EvalCounter, ObjectiveFunction, ParameterError
 from intfill.filled import (
@@ -223,6 +226,43 @@ def test_augmented_equals_raw_on_lattice():
     for pt in ([2, 3], [-5, 5], [1, 0], [-4, -4]):
         x = np.array(pt, dtype=float)
         assert wrapped(x) == ff.raw(x)
+
+
+def _fast_and_float_paths(point, value, anchor_value, r):
+    """Bits of the augmented value, counters and ``min_excess``: int64
+    array, float64 array, and a list of Python ints."""
+    box = BoxDomain(np.full(len(point), -5), np.full(len(point), 5))
+    out = []
+    for arg in (np.array(point), np.array(point, dtype=float), list(point)):
+        obj = ObjectiveFunction(lambda x: value, box, EvalCounter())
+        ff = InverseSquareFilled(obj, np.zeros(len(point), dtype=np.int64), anchor_value, r)
+        v = AugmentedFilled(ff)(arg)
+        bits = struct.pack("<dd", v, ff.min_excess)
+        out.append((bits, obj.counter.n_fu, obj.counter.n_fill))
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-10.0, 10.0),
+    st.sampled_from([1e-4, 0.5, 1.0, 10.0]),
+)
+@example([1, 2], float("nan"), 0.0, 1.0)
+@example([0, -3], float("inf"), 0.0, 1.0)
+@example([4], float("-inf"), 0.0, 1.0)
+@example([2, 2], -1.0, 0.0, 1.0)  # improvement beyond the margin: value 0.0
+def test_augmented_lattice_fast_path_is_bit_identical(point, value, anchor_value, r):
+    # An int64 point skips the penalty; a float64 one adds abs(raw) * 0.0.
+    fast, slow, listed = _fast_and_float_paths(point, value, anchor_value, r)
+    assert fast == slow == listed
+    assert (fast[1], fast[2]) == (1, 1)
+
+
+def test_augmented_fast_path_covers_zero_filled_value():
+    (bits, _, _), _, _ = _fast_and_float_paths([2, 2], -1.0, 0.0, 1.0)
+    assert struct.unpack("<dd", bits)[0] == 0.0
 
 
 def test_augmented_half_offset_doubles_value():

@@ -1,12 +1,23 @@
 """Tests for the continuous minimizers and discrete descent."""
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
-from intfill.core import BoxDomain, ParameterError
+from intfill.core import (
+    BoxDomain,
+    EvalCounter,
+    ObjectiveFunction,
+    ParameterError,
+    axis_directions,
+)
+from intfill.filled import AugmentedFilled, InverseSquareFilled
 from intfill.local_search import (
     MINIMIZERS,
     CompassSearch,
     QuasiNewton,
+    SearchTrace,
     make_minimizer,
     minimize_continuous,
     steepest_descent_discrete,
@@ -30,14 +41,31 @@ def in_box(box, points):
     return all(np.all((box.lower <= p) & (p <= box.upper)) for p in points)
 
 
-def counted(fn):
-    calls = {"n": 0}
+def recorded(fn):
+    """``fn`` and the list of ``(point copy, value)`` pairs it was called with."""
+    calls = []
 
     def wrapper(x):
-        calls["n"] += 1
-        return fn(x)
+        v = fn(x)
+        calls.append((np.array(x), v))
+        return v
 
     return wrapper, calls
+
+
+def accepted_iterates(minimizer, fn, x0, box, rounds):
+    """``(point, value)`` of each iterate accepted in the first ``rounds`` rounds.
+
+    Runs are deterministic, so the run capped at ``k`` iterations ends at
+    the iterate accepted last by round ``k``; a round accepts at most one.
+    """
+    iterates = []
+    for k in range(rounds):
+        capped = dataclasses.replace(minimizer, max_iterations=k)
+        x, trace = capped.minimize(fn, x0, box)
+        if trace.accepted_steps == len(iterates):
+            iterates.append((x, trace.final_value))
+    return iterates
 
 
 # ---------------------------------------------------------------- compass
@@ -51,24 +79,26 @@ def test_compass_sphere_converges():
 
 
 def test_compass_trace_counts_every_evaluation():
-    fn, calls = counted(sphere)
-    _, trace = CompassSearch().minimize(fn, np.array([2.0, 2.0]), box2())
-    assert trace.n_evaluations == calls["n"]
-    assert trace.values[0] == trace.start_value
-    assert trace.values[-1] == trace.final_value
+    fn, calls = recorded(sphere)
+    x, trace = CompassSearch().minimize(fn, np.array([2.0, 2.0]), box2())
+    assert trace.n_evaluations == len(calls)
+    assert calls[0][1] == trace.start_value
+    assert trace.final_value == min(v for _, v in calls) == sphere(x)
 
 
 def test_compass_values_strictly_decrease():
-    _, trace = CompassSearch().minimize(booth, np.array([-8.0, -8.0]), box2(-10, 10))
-    diffs = np.diff(np.array(trace.values))
-    assert np.all(diffs < 0)
+    iterates = accepted_iterates(
+        CompassSearch(), booth, np.array([-8.0, -8.0]), box2(-10, 10), 40
+    )
+    diffs = np.diff([v for _, v in iterates])
+    assert len(diffs) > 5 and np.all(diffs < 0)
 
 
 def test_compass_respects_box():
-    shifted = lambda x: float((x[0] - 10.0) ** 2 + x[1] ** 2)
+    shifted, calls = recorded(lambda x: float((x[0] - 10.0) ** 2 + x[1] ** 2))
     x, trace = CompassSearch().minimize(shifted, np.array([0.0, 0.0]), box2())
     assert x[0] == pytest.approx(5.0, abs=1e-6)
-    assert in_box(box2(), trace.points)
+    assert in_box(box2(), [p for p, _ in calls])
 
 
 def test_compass_iteration_cap_reports_budget():
@@ -81,9 +111,9 @@ def test_compass_iteration_cap_reports_budget():
 def test_compass_skips_projected_identity_polls():
     # From a corner with an interior minimum, the two outward polls
     # project back onto the corner and must not be evaluated.
-    fn, calls = counted(sphere)
+    fn, calls = recorded(sphere)
     CompassSearch(max_iterations=1).minimize(fn, np.array([5.0, 5.0]), box2())
-    assert calls["n"] == 3  # start + two inward polls
+    assert len(calls) == 3  # start + two inward polls
 
 
 def test_compass_option_validation():
@@ -98,14 +128,17 @@ def test_compass_option_validation():
 def test_compass_expanding_step_stays_on_lattice_until_first_shrink():
     # Moving away from the origin succeeds every round, so the step
     # doubles: 1, 2, 4, 8 from x0 = 1 gives 2, 4, 8, 16, then the cap.
-    away = lambda x: -float(np.asarray(x) @ np.asarray(x))
+    away, calls = recorded(lambda x: -float(np.asarray(x) @ np.asarray(x)))
     box = BoxDomain(np.array([-100, -100]), np.array([100, 100]))
-    _, trace = CompassSearch(expand=2.0, max_iterations=5).minimize(
+    compass = CompassSearch(expand=2.0)
+    iterates = accepted_iterates(compass, away, np.array([1.0, 0.0]), box, 5)
+    assert [p[0] for p, _ in iterates] == [1.0, 2.0, 4.0, 8.0, 16.0]
+    calls.clear()
+    x, _ = dataclasses.replace(compass, max_iterations=5).minimize(
         away, np.array([1.0, 0.0]), box
     )
-    assert [p[0] for p in trace.points[:5]] == [1.0, 2.0, 4.0, 8.0, 16.0]
-    for p in trace.points:
-        assert np.array_equal(p, np.rint(p))
+    assert x.dtype == np.float64
+    assert all(p.dtype == np.int64 for p, _ in calls)
 
 
 def test_compass_expanding_step_capped_at_box_width():
@@ -126,13 +159,163 @@ def test_compass_expanding_step_capped_at_box_width():
 
 
 def test_compass_default_step_does_not_expand():
-    _, fixed = CompassSearch().minimize(booth, np.array([-8.0, -8.0]), box2(-10, 10))
-    _, unit = CompassSearch(expand=1.0).minimize(
-        booth, np.array([-8.0, -8.0]), box2(-10, 10)
+    x0, box = np.array([-8.0, -8.0]), box2(-10, 10)
+    fixed_fn, fixed = recorded(booth)
+    unit_fn, unit = recorded(booth)
+    CompassSearch().minimize(fixed_fn, x0, box)
+    CompassSearch(expand=1.0).minimize(unit_fn, x0, box)
+    assert [(p.tolist(), v) for p, v in fixed] == [(p.tolist(), v) for p, v in unit]
+    iterates = accepted_iterates(CompassSearch(), booth, x0, box, 40)
+    steps = np.abs(np.diff([p for p, _ in iterates], axis=0)).sum(axis=1)
+    assert len(steps) > 5 and np.all(steps <= 1.0)
+
+
+# ------------------------------------------------- compass reference trajectory
+
+
+def reference_compass(compass, fn, x0, box):
+    """Compass search with whole-array polls, the reference for ``minimize``.
+
+    Each poll is ``np.clip(x + step * d)`` over the float axis directions
+    in scan order, and a poll equal to ``x`` is skipped.
+    """
+    x = np.clip(np.asarray(x0, dtype=float), box.lower, box.upper)
+    fx = start = float(fn(x))
+    nev, steps = 1, 0
+    step = compass.initial_step
+    widest = float(np.max(box.upper - box.lower, initial=0))
+    dirs = [d.astype(float) for d in axis_directions(box.dimension)]
+    termination = "budget"
+    for _ in range(compass.max_iterations):
+        if step < compass.step_tol:
+            termination = "converged"
+            break
+        best, best_val = None, fx
+        for d in dirs:
+            y = np.clip(x + step * d, box.lower, box.upper)
+            if np.array_equal(y, x):
+                continue
+            v = float(fn(y))
+            nev += 1
+            if v < best_val:
+                best, best_val = y, v
+        if best is None:
+            step *= compass.shrink
+        else:
+            x, fx = best, best_val
+            steps += 1
+            if compass.expand > 1:
+                step = min(step * compass.expand, max(step, widest))
+    return x, SearchTrace(start, fx, steps, termination, nev)
+
+
+def filled_target(box):
+    """Augmented filled function of a bowl objective, anchored in the box."""
+    centre = np.linspace(-2.6, 1.3, box.dimension)
+    obj = ObjectiveFunction(
+        lambda x: float(np.sum((x - centre) ** 2)), box, EvalCounter()
     )
-    assert fixed.values == unit.values
-    steps = np.abs(np.diff(np.array(fixed.points), axis=0)).sum(axis=1)
-    assert np.all(steps <= 1.0)
+    anchor = box.clamp(np.round(centre).astype(np.int64) + 1)
+    filled = InverseSquareFilled(obj, anchor, obj(anchor) - 0.5, 0.75)
+    return AugmentedFilled(filled), obj.counter
+
+
+_CENTRES = {n: np.linspace(0.37, -1.61, n) for n in (1, 2, 10)}
+
+
+def _bowl(x):
+    return float(np.sum((x - _CENTRES[len(x)]) ** 2))
+
+
+def _holes(x):
+    # NaN and +inf regions exercise every comparison with a non-number.
+    x = np.asarray(x, dtype=float)
+    return np.nan if x[0] > 2.5 else np.inf if x[0] < -3.5 else _bowl(x) - x[-1]
+
+
+REFERENCE_FUNCTIONS = {
+    "bowl": _bowl,
+    "away": lambda x: -float(np.sum(np.asarray(x, dtype=float) ** 2)),
+    "wavy": lambda x: float(
+        np.sum(np.asarray(x, dtype=float) ** 2 / 10 - np.cos(2 * np.pi * x))
+    ),
+    "holes": _holes,
+    "filled": None,  # built per run by filled_target
+}
+
+
+def _box(lower, upper):
+    return BoxDomain(np.array(lower), np.array(upper))
+
+
+# n = 1; n = 1 at the int64 limits; n = 2; n = 2 with lower == upper on
+# axis 2; n = 2 with bounds beyond 2**53, where float64 polls round;
+# n = 10 with one flat axis.
+REFERENCE_BOXES = {
+    "n1": _box([-6], [6]),
+    "n1-int64": _box([-(2**63) + 1], [2**63 - 1]),
+    "n2": _box([-5, -3], [5, 4]),
+    "n2-flat": _box([-5, 2], [5, 2]),
+    "n2-huge": _box([-(2**60) - 1, -5], [2**60 + 1, 2**54 + 1]),
+    "n10": _box([-2] * 7 + [1] + [-2] * 2, [2] * 7 + [1] + [2] * 2),
+}
+
+
+def reference_starts(box):
+    lo, hi = box.lower.astype(float), box.upper.astype(float)
+    mid = np.floor((lo + hi) / 2)
+    face = mid.copy()
+    face[0] = hi[0]
+    fractional_face = mid + 0.3
+    fractional_face[0] = lo[0]
+    corner = np.where(np.arange(box.dimension) % 2 == 0, lo, hi)
+    return {
+        "interior": mid,
+        "fractional": mid + np.linspace(0.25, -0.4, box.dimension),
+        "face": face,
+        "fractional-face": fractional_face,
+        "corner": corner,
+        "outside": hi + 2.5,
+    }
+
+
+@pytest.mark.parametrize("fn_name", sorted(REFERENCE_FUNCTIONS))
+@pytest.mark.parametrize("box_name", sorted(REFERENCE_BOXES))
+def test_compass_matches_reference_trajectory(box_name, fn_name):
+    box = REFERENCE_BOXES[box_name]
+    for start_name, x0 in reference_starts(box).items():
+        for step, expand, cap in itertools.product((1, 0.75), (1, 2, 3), (25, 7)):
+            compass = CompassSearch(
+                initial_step=step, expand=expand, step_tol=1e-3, max_iterations=cap
+            )
+            runs = []
+            for minimize in (reference_compass, CompassSearch.minimize):
+                fn, counter = REFERENCE_FUNCTIONS[fn_name], None
+                if fn is None:
+                    fn, counter = filled_target(box)
+                fn, calls = recorded(fn)
+                x, trace = minimize(compass, fn, x0.copy(), box)
+                counts = (counter.n_fu, counter.n_fill) if counter else None
+                runs.append((x, trace, calls, counts))
+            (x_ref, t_ref, ref_calls, ref_counts), (x, t, calls, counts) = runs
+            case = (start_name, step, expand, cap)
+            assert [(np.asarray(p, dtype=float).tobytes(), repr(v)) for p, v in calls] == [
+                (p.tobytes(), repr(v)) for p, v in ref_calls
+            ], case
+            assert x.dtype == x_ref.dtype == np.float64, case
+            assert x.tobytes() == x_ref.tobytes(), case
+            assert repr(t) == repr(t_ref) and counts == ref_counts, case
+            # int64 polls come first, and only from a lattice start and step
+            # in a box whose bounds int64 holds as float64.
+            kinds = "".join(p.dtype.kind for p, _ in calls)
+            start = box.clamp(x0)
+            on_lattice = (
+                float(step).is_integer()
+                and np.array_equal(start, np.rint(start))
+                and box_name != "n1-int64"
+            )
+            assert kinds.lstrip("i").strip("f") == "", case
+            assert kinds.startswith("i") == on_lattice, case
 
 
 # ---------------------------------------------------------------- quasi-newton
@@ -162,14 +345,15 @@ def test_quasi_newton_linear_objective_stops_at_bound():
 
 
 def test_quasi_newton_trace_counts_every_evaluation():
-    fn, calls = counted(booth)
+    fn, calls = recorded(booth)
     _, trace = QuasiNewton().minimize(fn, np.array([-3.0, 7.0]), box2(-10, 10))
-    assert trace.n_evaluations == calls["n"]
+    assert trace.n_evaluations == len(calls)
 
 
 def test_quasi_newton_iterates_stay_feasible():
-    _, trace = QuasiNewton().minimize(booth, np.array([10.0, 10.0]), box2(-10, 10))
-    assert in_box(box2(-10, 10), trace.points)
+    fn, calls = recorded(booth)
+    QuasiNewton().minimize(fn, np.array([10.0, 10.0]), box2(-10, 10))
+    assert in_box(box2(-10, 10), [p for p, _ in calls])
 
 
 def test_quasi_newton_stops_on_non_finite_gradient():
@@ -189,9 +373,11 @@ def test_quasi_newton_stops_on_non_finite_gradient():
 
 
 def test_quasi_newton_values_never_increase():
-    _, trace = QuasiNewton().minimize(booth, np.array([10.0, -10.0]), box2(-10, 10))
-    diffs = np.diff(np.array(trace.values))
-    assert np.all(diffs <= 0)
+    iterates = accepted_iterates(
+        QuasiNewton(), booth, np.array([10.0, -10.0]), box2(-10, 10), 12
+    )
+    diffs = np.diff([v for _, v in iterates])
+    assert len(diffs) > 2 and np.all(diffs <= 0)
 
 
 # ---------------------------------------------------------------- registry
@@ -280,11 +466,9 @@ def test_contract_catches_randomized_minimizer():
             self.rng = np.random.default_rng()
 
         def minimize(self, fn, x0, box):
-            from intfill.local_search import SearchTrace
-
             x = box.clamp(np.asarray(x0, dtype=float) + self.rng.normal(size=2))
-            vals = [float(fn(np.asarray(x0, dtype=float))), float(fn(x))]
-            return x, SearchTrace([np.asarray(x0, float), x], vals, "converged", 2)
+            start, final = float(fn(np.asarray(x0, dtype=float))), float(fn(x))
+            return x, SearchTrace(start, final, 1, "converged", 2)
 
     MINIMIZERS["jitter"] = Jitter
     try:
@@ -314,11 +498,11 @@ def test_custom_minimizer_rejects_unknown_option_names():
 
 
 def test_discrete_descent_booth():
-    fn, calls = counted(booth)
+    fn, calls = recorded(booth)
     x, fx = steepest_descent_discrete(fn, np.array([0, 0]), box2(-10, 10))
     assert tuple(x) == (1, 3)
     assert fx == 0.0
-    assert calls["n"] > 0
+    assert len(calls) > 0
 
 
 def test_discrete_descent_fixed_point():
