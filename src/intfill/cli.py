@@ -165,31 +165,6 @@ def write_json(records: Sequence[dict[str, Any]], path: Path) -> None:
         fh.write("\n")
 
 
-def read_records_csv(path: Path) -> list[dict[str, Any]]:
-    """Parse an emitted CSV back into typed records (round-trip exact)."""
-    out: list[dict[str, Any]] = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rec: dict[str, Any] = {}
-            for field in RECORD_FIELDS:
-                raw = row[field]
-                if raw == "":
-                    rec[field] = None
-                elif field in ("n", "n_fu", "n_fill"):
-                    rec[field] = int(raw)
-                elif field in ("f_g", "wall_time", "known_value"):
-                    rec[field] = float(raw)
-                elif field == "hit":
-                    rec[field] = raw == "true"
-                elif field == "x0":
-                    rec[field] = json.loads(raw)
-                else:
-                    rec[field] = raw
-            out.append(rec)
-    return out
-
-
 def _appendix_specs() -> list[dict[str, Any]]:
     return [
         {"problem": name, **({"n": n} if n else {}), "start": list(start)}

@@ -72,8 +72,9 @@ class CompassSearch:
     lattice start on the lattice until the first shrink. Such iterates,
     and the points passed to ``fn``, are ``int64`` arrays until that
     shrink and ``float64`` after it; the returned point is ``float64``.
-    Polls that project back onto the current point (at a face of the
-    box) are skipped without evaluation.
+    A poll at a point the call already evaluated, such as one that
+    projects back onto the current point at a face of the box, is
+    skipped: each distinct point reaches ``fn`` at most once.
     """
 
     initial_step: float = 1.0
@@ -107,7 +108,15 @@ class CompassSearch:
         fx = start_value = float(fn(x))
         nev, steps = 1, 0
         xs = x.tolist()
-        widest = float(np.max(box.upper - box.lower, initial=0))
+        # fx only falls, so every value seen is >= fx or NaN: a repeated
+        # point cannot improve, and each distinct point is evaluated once.
+        # Keys are a point's bytes in x's dtype. An int64 point holds a
+        # float64-exact value, so at the first shrink its key converts
+        # exactly to the float64 bytes of the same point.
+        seen = {x.tobytes()}
+        # Python ints: an int64 difference wraps for boxes wider than 2**63.
+        extents = (u - l for l, u in zip(box.lower.tolist(), box.upper.tolist()))
+        widest = float(max(extents, default=0))
         termination = "budget"
         for _ in range(self.max_iterations):
             if step < self.step_tol:
@@ -118,17 +127,25 @@ class CompassSearch:
             for i, xi in enumerate(xs):
                 for yi in (xi - step, xi + step):
                     yi = min(max(yi, lo[i]), hi[i])
-                    if yi == xi:
+                    if yi == xi:  # projected back onto x: skip before keying
                         continue
                     y = x.copy()
                     y[i] = yi
+                    key = y.tobytes()
+                    if key in seen:
+                        continue
+                    seen.add(key)
                     v = float(fn(y))
                     nev += 1
                     if v < best_val:
                         best, best_val = y, v
             if best is None:
                 step *= self.shrink
-                x = as_real_point(x)
+                if x.dtype == np.int64:
+                    x = as_real_point(x)
+                    rows = np.frombuffer(b"".join(seen), np.int64)
+                    rows = rows.reshape(len(seen), -1).astype(float)
+                    seen = {row.tobytes() for row in rows}
             else:
                 x, fx = best, best_val
                 xs = x.tolist()

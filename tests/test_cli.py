@@ -1,5 +1,8 @@
 """Tests for the command-line harness and its record tables."""
+import csv
 import json
+from pathlib import Path
+from typing import Any
 
 import pytest
 
@@ -9,13 +12,37 @@ from intfill.cli import (
     config_from_dict,
     execute_run,
     main,
-    read_records_csv,
     write_csv,
     write_json,
 )
 from intfill.core import ParameterError
 from intfill.filled import FilledParams
 from intfill.solver import SolverConfig
+
+
+def read_records_csv(path: Path) -> list[dict[str, Any]]:
+    """Parse an emitted CSV back into typed records (round-trip exact)."""
+    out: list[dict[str, Any]] = []
+    with path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            rec: dict[str, Any] = {}
+            for field in RECORD_FIELDS:
+                raw = row[field]
+                if raw == "":
+                    rec[field] = None
+                elif field in ("n", "n_fu", "n_fill"):
+                    rec[field] = int(raw)
+                elif field in ("f_g", "wall_time", "known_value"):
+                    rec[field] = float(raw)
+                elif field == "hit":
+                    rec[field] = raw == "true"
+                elif field == "x0":
+                    rec[field] = json.loads(raw)
+                else:
+                    rec[field] = raw
+            out.append(rec)
+    return out
 
 
 # ---------------------------------------------------------------- config

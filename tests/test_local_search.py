@@ -170,6 +170,14 @@ def test_compass_default_step_does_not_expand():
     assert len(steps) > 5 and np.all(steps <= 1.0)
 
 
+def test_compass_expands_in_a_box_wider_than_int64():
+    # upper - lower = 2**64 - 2 wraps in int64; the step must still double.
+    box = BoxDomain(np.array([-(2**63) + 1]), np.array([2**63 - 1]))
+    compass = CompassSearch(expand=2.0, max_iterations=70)
+    x, trace = compass.minimize(lambda x: -float(x[0]), np.array([0.0]), box)
+    assert x[0] == 2.0**63 and trace.accepted_steps == 63
+
+
 # ------------------------------------------------- compass reference trajectory
 
 
@@ -177,13 +185,14 @@ def reference_compass(compass, fn, x0, box):
     """Compass search with whole-array polls, the reference for ``minimize``.
 
     Each poll is ``np.clip(x + step * d)`` over the float axis directions
-    in scan order, and a poll equal to ``x`` is skipped.
+    in scan order, and a poll equal to ``x`` is skipped. Every other poll
+    is evaluated, even at a point evaluated before.
     """
     x = np.clip(np.asarray(x0, dtype=float), box.lower, box.upper)
     fx = start = float(fn(x))
     nev, steps = 1, 0
     step = compass.initial_step
-    widest = float(np.max(box.upper - box.lower, initial=0))
+    widest = float(max(int(u) - int(l) for l, u in zip(box.lower, box.upper)))
     dirs = [d.astype(float) for d in axis_directions(box.dimension)]
     termination = "budget"
     for _ in range(compass.max_iterations):
@@ -207,6 +216,17 @@ def reference_compass(compass, fn, x0, box):
             if compass.expand > 1:
                 step = min(step * compass.expand, max(step, widest))
     return x, SearchTrace(start, fx, steps, termination, nev)
+
+
+def first_occurrences(calls):
+    """The ``(point, value)`` calls whose point's float64 bits are new."""
+    seen, firsts = set(), []
+    for p, v in calls:
+        key = np.asarray(p, dtype=float).tobytes()
+        if key not in seen:
+            seen.add(key)
+            firsts.append((p, v))
+    return firsts
 
 
 def filled_target(box):
@@ -299,12 +319,17 @@ def test_compass_matches_reference_trajectory(box_name, fn_name):
                 runs.append((x, trace, calls, counts))
             (x_ref, t_ref, ref_calls, ref_counts), (x, t, calls, counts) = runs
             case = (start_name, step, expand, cap)
+            firsts = first_occurrences(ref_calls)
             assert [(np.asarray(p, dtype=float).tobytes(), repr(v)) for p, v in calls] == [
-                (p.tobytes(), repr(v)) for p, v in ref_calls
+                (p.tobytes(), repr(v)) for p, v in firsts
             ], case
             assert x.dtype == x_ref.dtype == np.float64, case
             assert x.tobytes() == x_ref.tobytes(), case
-            assert repr(t) == repr(t_ref) and counts == ref_counts, case
+            once = dataclasses.replace(t_ref, n_evaluations=len(firsts))
+            assert repr(t) == repr(once), case
+            if counter is not None:  # filled_target charged one n_fu for the anchor
+                assert ref_counts == (1 + len(ref_calls), len(ref_calls)), case
+                assert counts == (1 + len(firsts), len(firsts)), case
             # int64 polls come first, and only from a lattice start and step
             # in a box whose bounds int64 holds as float64.
             kinds = "".join(p.dtype.kind for p, _ in calls)
@@ -316,6 +341,19 @@ def test_compass_matches_reference_trajectory(box_name, fn_name):
             )
             assert kinds.lstrip("i").strip("f") == "", case
             assert kinds.startswith("i") == on_lattice, case
+
+
+@pytest.mark.parametrize("target", ["booth", "filled"])
+def test_compass_evaluates_each_point_once(target):
+    box, x0 = box2(-10, 10), np.array([-8.0, -8.0])
+    fn = booth if target == "booth" else filled_target(box)[0]
+    reference_fn, reference_calls = recorded(fn)
+    reference_compass(CompassSearch(), reference_fn, x0, box)
+    # the every-poll loop repeats points here
+    assert len(first_occurrences(reference_calls)) < len(reference_calls)
+    fn, calls = recorded(fn)
+    CompassSearch().minimize(fn, x0, box)
+    assert len(first_occurrences(calls)) == len(calls)
 
 
 # ---------------------------------------------------------------- quasi-newton

@@ -99,7 +99,7 @@ def test_no_restart_pick_after_the_last_round():
     # Round 2 does not improve on round 1 and ends the run; nothing is
     # evaluated after its result.
     rep = solve_problem(get_problem("booth"), cfg=SolverConfig(max_outer_iterations=2))
-    assert rep.columns() == (0.0, 864, 757)
+    assert rep.columns() == (0.0, 755, 648)
     assert rep.termination == "max_iterations"
     assert rep.events[-1]["kind"] == "outer_result"
 
@@ -109,7 +109,7 @@ def test_every_round_starts_from_the_incumbent():
     # on it, and each starts there again instead of at a neighbor of its
     # predecessor's result.
     rep = solve_problem(get_problem("booth"))
-    assert rep.columns() == (0.0, 1170, 1037)
+    assert rep.columns() == (0.0, 1053, 920)
     assert rep.termination == "max_iterations"
     assert {e["kind"] for e in rep.events} <= EVENT_KINDS
     later = [e for e in rep.events if e["kind"] == "anchor" and e["outer"] > 1]
