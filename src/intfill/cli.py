@@ -179,15 +179,32 @@ def _output_dir(args: argparse.Namespace) -> Path:
     return Path(env) if env else Path(".")
 
 
+def _read_config(path: str) -> tuple[dict[str, Any], list[Any]]:
+    """The ``defaults`` and ``runs`` of a config file, checked for shape."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ParameterError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{path}: the top level must be an object")
+    defaults, runs = doc.get("defaults", {}), doc.get("runs", [])
+    if not isinstance(defaults, dict):
+        raise ParameterError(f"{path}: 'defaults' must be an object")
+    if not isinstance(runs, list):
+        raise ParameterError(f"{path}: 'runs' must be a list")
+    return defaults, runs
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     spec: dict[str, Any] = {"problem": args.problem}
     if args.n is not None:
         spec["n"] = args.n
     if args.start:
-        spec["start"] = [int(v) for v in args.start.split(",")]
-    defaults: dict[str, Any] = {}
-    if args.config:
-        defaults = json.loads(Path(args.config).read_text()).get("defaults", {})
+        try:
+            spec["start"] = [int(v) for v in args.start.split(",")]
+        except ValueError:
+            raise ParameterError(f"--start must be integers: {args.start!r}") from None
+    defaults = _read_config(args.config)[0] if args.config else {}
     record = execute_run(spec, defaults)
     json.dump({f: record[f] for f in RECORD_FIELDS}, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -202,9 +219,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         specs = _appendix_specs()
         defaults: dict[str, Any] = {}
     elif args.config:
-        doc = json.loads(Path(args.config).read_text())
-        defaults = doc.get("defaults", {})
-        specs = doc.get("runs", [])
+        defaults, specs = _read_config(args.config)
     else:
         sys.stderr.write("matrix needs a config file or --builtin appendix\n")
         return 2

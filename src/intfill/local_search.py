@@ -13,7 +13,6 @@ neighborhood with a fixed scan order for ties.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import inspect
 import math
 import numbers
@@ -69,9 +68,9 @@ class CompassSearch:
     shrinks. A successful round multiplies the step by ``expand``, capped
     at the widest extent of the box; the default 1 keeps the step fixed,
     and an integer factor from an integer step keeps every poll of a
-    lattice start on the lattice until the first shrink. Such iterates,
-    and the points passed to ``fn``, are ``int64`` arrays until that
-    shrink and ``float64`` after it; the returned point is ``float64``.
+    lattice start on the lattice until the first shrink. The iterate and
+    the returned point are ``float64``; until that shrink, each point
+    passed to ``fn`` from such a start is its ``int64`` copy.
     A poll at a point the call already evaluated, such as one that
     projects back onto the current point at a face of the box, is
     skipped: each distinct point reaches ``fn`` at most once.
@@ -97,22 +96,20 @@ class CompassSearch:
         step = float(self.initial_step)
         # A poll moves one coordinate and clamps it in Python floats, which
         # round as float64 arrays do: from a lattice point with an integral
-        # step every poll is a lattice point, so x stays int64 until a shrink,
-        # unless a bound rounds to +-2**63, which int64 cannot hold.
+        # step every poll is a lattice point, so fn gets int64 points until a
+        # shrink, unless a bound rounds to +-2**63, which int64 cannot hold.
         lo = box.lower.astype(float).tolist()
         hi = box.upper.astype(float).tolist()
         lattice = step.is_integer() and float(self.expand).is_integer()
-        if lattice and max(map(abs, lo + hi), default=0.0) < 2.0**63:
-            if np.all(x == np.rint(x)):
-                x = x.astype(np.int64)
-        fx = start_value = float(fn(x))
+        lattice = lattice and max(map(abs, lo + hi), default=0.0) < 2.0**63
+        lattice = lattice and bool(np.all(x == np.rint(x)))
+        if lattice:
+            x += 0.0  # turns -0.0 into 0.0, which int64 cannot tell apart
+        fx = start_value = float(fn(x.astype(np.int64) if lattice else x))
         nev, steps = 1, 0
         xs = x.tolist()
         # fx only falls, so every value seen is >= fx or NaN: a repeated
         # point cannot improve, and each distinct point is evaluated once.
-        # Keys are a point's bytes in x's dtype. An int64 point holds a
-        # float64-exact value, so at the first shrink its key converts
-        # exactly to the float64 bytes of the same point.
         seen = {x.tobytes()}
         # Python ints: an int64 difference wraps for boxes wider than 2**63.
         extents = (u - l for l, u in zip(box.lower.tolist(), box.upper.tolist()))
@@ -135,25 +132,20 @@ class CompassSearch:
                     if key in seen:
                         continue
                     seen.add(key)
-                    v = float(fn(y))
+                    v = float(fn(y.astype(np.int64) if lattice else y))
                     nev += 1
                     if v < best_val:
                         best, best_val = y, v
             if best is None:
                 step *= self.shrink
-                if x.dtype == np.int64:
-                    x = as_real_point(x)
-                    rows = np.frombuffer(b"".join(seen), np.int64)
-                    rows = rows.reshape(len(seen), -1).astype(float)
-                    seen = {row.tobytes() for row in rows}
+                lattice = False
             else:
                 x, fx = best, best_val
                 xs = x.tolist()
                 steps += 1
                 if self.expand > 1:
                     step = min(step * self.expand, max(step, widest))
-        trace = SearchTrace(start_value, fx, steps, termination, nev)
-        return as_real_point(x), trace
+        return x, SearchTrace(start_value, fx, steps, termination, nev)
 
 
 @dataclasses.dataclass
@@ -285,12 +277,6 @@ MINIMIZERS: dict[str, type] = {
 }
 
 
-@functools.cache
-def _option_names(cls: type) -> tuple[str, ...]:
-    # Any MINIMIZERS class, dataclass or not; cached, as each escape builds one.
-    return tuple(inspect.signature(cls).parameters)
-
-
 def make_minimizer(method: str, options: dict | None = None):
     try:
         cls = MINIMIZERS[method]
@@ -298,7 +284,7 @@ def make_minimizer(method: str, options: dict | None = None):
         known = ", ".join(sorted(MINIMIZERS))
         raise ParameterError(f"unknown minimizer {method!r}; known: {known}")
     options = options or {}
-    valid = _option_names(cls)
+    valid = tuple(inspect.signature(cls).parameters)  # dataclass or not
     unknown = sorted(set(options) - set(valid))
     if unknown:
         raise ParameterError(

@@ -25,6 +25,9 @@ when the filled minimizer is ``"compass"``, round ``k`` multiplies the
 compass step by ``k`` on each successful poll: the walk then jumps along
 the lattice and polls points far off its axis lines, where round 1's
 unit-step walk never looked, and no two rounds replay the same walk.
+Each inner search builds its two minimizers once and reuses them for
+every descent and escape pass, so ``minimize`` must not depend on state
+left by an earlier call.
 
 Evaluation accounting: every objective evaluation (including candidate
 ordering, neighborhood argmins, and the objective evaluation embedded
@@ -40,6 +43,7 @@ local minimizer on every path.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import time
 from typing import Any
 
@@ -68,7 +72,7 @@ from .filled import (
     InverseSquareFilled,
     rounding_error_check,
 )
-from .local_search import minimize_continuous, steepest_descent_discrete
+from .local_search import make_minimizer, steepest_descent_discrete
 
 
 @dataclasses.dataclass
@@ -84,10 +88,11 @@ class SolverConfig:
     max_evaluations: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if self.max_outer_iterations < 1:
-            raise ParameterError("max_outer_iterations must be >= 1")
-        if self.max_evaluations < 1:
-            raise ParameterError("max_evaluations must be >= 1")
+        for name in ("max_outer_iterations", "max_evaluations"):
+            value = getattr(self, name)
+            count = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not count or value < 1:
+                raise ParameterError(f"{name} must be an int >= 1, got {value!r}")
 
 
 @dataclasses.dataclass
@@ -174,15 +179,18 @@ def _generic(
     params = cfg.filled_params
     x_start = np.asarray(x0, dtype=np.int64)
     pending_dc2: float | None = None
+    descent = make_minimizer(cfg.objective_minimizer, cfg.objective_minimizer_options)
+    escape_options = cfg.filled_minimizer_options
+    if outer > 1 and cfg.filled_minimizer == "compass":
+        # An earlier round may already have walked from this anchor's
+        # neighbors, and a replay cannot land anywhere new. A step that
+        # grows by a different integer factor in each round polls other
+        # lattice points, far off the axis lines of round 1's walk.
+        escape_options = {**escape_options, "expand": float(outer)}
+    escape = make_minimizer(cfg.filled_minimizer, escape_options)
     while True:
         # Phase 1: continuous descent of f, rounding, lattice descent.
-        x_cont, obj_trace = minimize_continuous(
-            obj.relaxed,
-            x_start.astype(float),
-            box,
-            cfg.objective_minimizer,
-            cfg.objective_minimizer_options,
-        )
+        x_cont, obj_trace = descent.minimize(obj.relaxed, x_start.astype(float), box)
         x_rounded = box.clamp(round_point(x_cont))
         x_star, f_star = steepest_descent_discrete(obj, x_rounded, box)
         rec.note_anchor(x_star, f_star)
@@ -214,13 +222,6 @@ def _generic(
         _check_d1(obj, target, x_star, anchor_filled, rec)
 
         # Phase 2: escape attempts from each neighbor, cheapest first.
-        escape_options = cfg.filled_minimizer_options
-        if outer > 1 and cfg.filled_minimizer == "compass":
-            # An earlier round may already have walked from this anchor's
-            # neighbors, and a replay cannot land anywhere new. A step that
-            # grows by a different integer factor in each round polls other
-            # lattice points, far off the axis lines of round 1's walk.
-            escape_options = {**escape_options, "expand": float(outer)}
         scored = [(obj(nb), nb) for nb in neighborhood(x_star, box)[:-1]]
         scored.sort(key=lambda t: t[0])
         escaped = False
@@ -230,13 +231,7 @@ def _generic(
             while True:
                 filled.r = r
                 filled.reset_excess()
-                x_esc, _ = minimize_continuous(
-                    target,
-                    candidate.astype(float),
-                    box,
-                    cfg.filled_minimizer,
-                    escape_options,
-                )
+                x_esc, _ = escape.minimize(target, candidate.astype(float), box)
                 point_filled = filled.raw(x_esc)
                 check = rounding_error_check(anchor_filled, point_filled, x_esc)
                 rec.bound_checks.append(check)

@@ -122,6 +122,13 @@ def test_execute_run_merges_defaults_under_per_run_overrides():
     assert rec["error"] is None
 
 
+def test_execute_run_records_malformed_count_as_parameter_error():
+    rec = execute_run({"problem": "booth", "config": {"max_outer_iterations": 2.5}}, {})
+    # A typed error is recorded bare; any other exception carries its type name.
+    assert rec["error"] == "max_outer_iterations must be an int >= 1, got 2.5"
+    assert rec["f_g"] is None
+
+
 def test_hit_tolerance_is_tight():
     assert HIT_TOLERANCE == 1e-9
 
@@ -274,3 +281,33 @@ def test_main_matrix_parallel_preserves_order_and_results(tmp_path):
     for rs, rp in zip(seq, par):
         rs.pop("wall_time"), rp.pop("wall_time")
     assert seq == par
+
+
+@pytest.mark.parametrize("command", ["run", "matrix"])
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (b'{"runs": [', "invalid JSON"),
+        (b"\xff\xfe{}", "invalid JSON"),
+        (b"[]", "the top level must be an object"),
+        (b'{"defaults": [1]}', "'defaults' must be an object"),
+        (b'{"runs": 5}', "'runs' must be a list"),
+    ],
+    ids=["invalid-json", "not-utf8", "top-level-list", "defaults-list", "runs-int"],
+)
+def test_malformed_config_file_exits_2(tmp_path, capsys, command, text, message):
+    cfg_path = tmp_path / "runs.json"
+    cfg_path.write_bytes(text)
+    argv = ["matrix", str(cfg_path), "--output-dir", str(tmp_path)]
+    if command == "run":
+        argv = ["run", "--problem", "booth", "--config", str(cfg_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "matrix.csv").exists()
+
+
+def test_main_run_non_integer_start_exits_2(capsys):
+    assert main(["run", "--problem", "booth", "--start", "1,a"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --start must be integers")

@@ -356,6 +356,18 @@ def test_compass_evaluates_each_point_once(target):
     assert len(first_occurrences(calls)) == len(calls)
 
 
+def test_compass_negative_zero_lattice_start_is_the_point_zero():
+    # int64 has no -0.0: from a -0.0 lattice start the walk keys the start
+    # as 0.0, so the poll back at the origin is a repeat and is skipped.
+    fn, calls = recorded(lambda x: float((x[0] - 3) ** 2 + x[1] ** 2))
+    x, trace = CompassSearch().minimize(fn, np.array([-0.0, 0.0]), box2())
+    assert tuple(x) == (3.0, 0.0) and trace.n_evaluations == len(calls)
+    assert len(first_occurrences(calls)) == len(calls)
+    assert [p.dtype for p, _ in calls[:5]] == [np.dtype(np.int64)] * 5
+    x, _ = CompassSearch(step_tol=0.5).minimize(sphere, np.array([-0.0, 0.0]), box2())
+    assert x.dtype == np.float64 and not np.signbit(x).any()
+
+
 # ---------------------------------------------------------------- quasi-newton
 
 

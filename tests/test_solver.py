@@ -11,6 +11,7 @@ from intfill.core import (
     ParameterError,
     is_discrete_local_min,
 )
+from intfill.local_search import MINIMIZERS, CompassSearch
 from intfill.solver import (
     SolverConfig,
     SolveReport,
@@ -60,6 +61,20 @@ def test_config_validation():
         SolverConfig(max_outer_iterations=0)
     with pytest.raises(ParameterError):
         SolverConfig(max_evaluations=0)
+
+
+@pytest.mark.parametrize("field", ["max_outer_iterations", "max_evaluations"])
+@pytest.mark.parametrize(
+    "value", [0, -1, 2.5, float("nan"), float("inf"), True, "5", None]
+)
+def test_config_rejects_malformed_counts(field, value):
+    with pytest.raises(ParameterError, match=f"{field} must be an int >= 1"):
+        SolverConfig(**{field: value})
+
+
+def test_config_accepts_numpy_and_huge_counts():
+    cfg = SolverConfig(max_outer_iterations=np.int64(2), max_evaluations=10**30)
+    assert cfg.max_outer_iterations == 2 and cfg.max_evaluations == 10**30
 
 
 def test_config_defaults():
@@ -313,3 +328,53 @@ def test_embedded_objective_counting_flag():
     # Every filled evaluation embeds one objective evaluation; with the
     # flag off those no longer hit n_fu.
     assert off.n_fu == on.n_fu - on.n_fill
+
+
+# ---------------------------------------------------------------- other minimizers
+
+
+@pytest.mark.parametrize(
+    "name,minimum,columns",
+    [("booth", (1, 3), (0.0, 529, 372)), ("three-hump-camel", (0, 0), (0.0, 525, 372))],
+)
+def test_quasi_newton_escapes_over_three_rounds(name, minimum, columns):
+    # Round k >= 2 widens only a compass escape: QuasiNewton has no
+    # ``expand`` option, and forwarding one would be a ParameterError.
+    cfg = SolverConfig(filled_minimizer="quasi-newton")
+    rep = solve_problem(get_problem(name), cfg=cfg)
+    assert rep.x_best == minimum and rep.outer_iterations == 3
+    assert rep.columns() == columns
+    assert rep.termination == "max_iterations"
+
+
+def test_compass_descent_solves_booth():
+    cfg = SolverConfig(objective_minimizer="compass")
+    rep = solve_problem(get_problem("booth"), cfg=cfg)
+    assert rep.x_best == (1, 3) and rep.f_best == 0.0
+    assert rep.outer_iterations == 3
+
+
+def test_filled_minimizer_is_built_once_per_inner_search():
+    built, runs = [], []
+
+    class Counting(CompassSearch):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+        def minimize(self, fn, x0, box):
+            runs.append(self)
+            return super().minimize(fn, x0, box)
+
+    MINIMIZERS["counting"] = Counting
+    try:
+        cfg = SolverConfig(filled_minimizer="counting")
+        rep = solve_problem(get_problem("booth"), cfg=cfg)
+    finally:
+        del MINIMIZERS["counting"]
+    assert rep.x_best == (1, 3)
+    inner_searches = sum(ev["kind"] == "outer_result" for ev in rep.events)
+    assert len(built) == inner_searches == 3
+    escapes = sum(ev["kind"] == "escape" for ev in rep.events)
+    assert len(runs) == escapes > len(built)
+    assert {id(m) for m in runs} == {id(m) for m in built}
