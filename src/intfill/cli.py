@@ -99,8 +99,10 @@ def _merge_config(defaults: dict[str, Any], per_run: dict[str, Any]) -> SolverCo
 def execute_run(spec: dict[str, Any], defaults: dict[str, Any]) -> dict[str, Any]:
     """Execute one run spec; errors land in the record, not in raises."""
     record: dict[str, Any] = {field: None for field in RECORD_FIELDS}
-    record["problem"] = spec.get("problem")
     try:
+        if not isinstance(spec, dict):
+            raise ParameterError(f"run spec must be an object, got {spec!r}")
+        record["problem"] = spec.get("problem")
         if "problem" not in spec:
             raise ParameterError("run spec needs a 'problem' name")
         unknown = set(spec) - {"problem", "n", "start", "start_pattern", "config"}

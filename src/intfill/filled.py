@@ -85,8 +85,10 @@ def lattice_penalty(x: np.ndarray) -> float:
     """
     arr = as_real_point(x)
     frac = arr - np.rint(arr)
-    s = np.sin(np.pi * frac)
-    return float(np.sum(s * s))
+    np.multiply(frac, np.pi, out=frac)
+    np.sin(frac, out=frac)
+    np.multiply(frac, frac, out=frac)
+    return float(np.add.reduce(frac))  # np.sum without its Python dispatch
 
 
 def filled_value(

@@ -59,6 +59,15 @@ def _check_option_types(minimizer, label: str) -> None:
             )
 
 
+def _projected_step(xs: list, t: float, ds: list, lo: list, hi: list) -> list:
+    """``BoxDomain.clamp(x + t * d)`` in Python floats, bit for bit: NaN
+    passes through and a signed zero tied with a bound becomes the bound."""
+    return [
+        l if (yi := xi + t * di) <= l else h if yi >= h else yi
+        for xi, di, l, h in zip(xs, ds, lo, hi)
+    ]
+
+
 @dataclasses.dataclass
 class CompassSearch:
     """Pattern search polling the 2n axis directions.
@@ -205,8 +214,7 @@ class QuasiNewton:
         nev, steps = 1, 0
         lo = box.lower.astype(float).tolist()
         hi = box.upper.astype(float).tolist()
-        n = x.shape[0]
-        ident = np.eye(n)
+        ident = np.eye(x.shape[0])
         hess_inv = ident.copy()
         prev_g: np.ndarray | None = None
         prev_s: np.ndarray | None = None
@@ -216,7 +224,8 @@ class QuasiNewton:
         for _ in range(self.max_iterations):
             g, k = self._gradient(fn, x, lo, hi)
             nev += k
-            if not np.all(np.isfinite(g)):
+            gs = g.tolist()
+            if not all(map(math.isfinite, gs)):
                 # A probe hit NaN or +inf: every direction built from g
                 # would be NaN, and stepping on would only evaluate there.
                 termination = "non_finite"
@@ -224,9 +233,10 @@ class QuasiNewton:
             if prev_g is not None and prev_s is not None:
                 yk = g - prev_g
                 sy = float(prev_s @ yk)
-                if sy > 1e-12 * np.linalg.norm(prev_s) * np.linalg.norm(yk):
+                ss, yy = float(prev_s @ prev_s), float(yk @ yk)
+                if sy > 1e-12 * math.sqrt(ss) * math.sqrt(yy):
                     if not scaled:
-                        hess_inv = (sy / float(yk @ yk)) * ident
+                        hess_inv = (sy / yy) * ident
                         scaled = True
                     rho = 1.0 / sy
                     left = ident - rho * np.outer(prev_s, yk)
@@ -234,7 +244,7 @@ class QuasiNewton:
                         prev_s, prev_s
                     )
                 prev_g = prev_s = None
-            if float(np.max(np.abs(g))) <= self.grad_tol:
+            if max(map(abs, gs)) <= self.grad_tol:
                 termination = "converged"
                 break
             d = -hess_inv @ g
@@ -243,31 +253,29 @@ class QuasiNewton:
                 scaled = False
                 d = -g
             t = 1.0
-            accepted = False
+            line_failures += 1  # until a step is accepted
+            xs, ds = x.tolist(), d.tolist()
             for _ in range(self.max_backtracks):
-                y = box.clamp(x + t * d)
-                move = y - x
-                if not move.any():
+                ys = _projected_step(xs, t, ds, lo, hi)
+                if ys == xs:
                     break
+                y = np.array(ys)
+                move = y - x
                 v = float(fn(y))
                 nev += 1
                 if v <= fx + self.armijo_c1 * float(g @ move):
-                    prev_s = move
-                    prev_g = g
+                    prev_s, prev_g = move, g
                     x, fx = y, v
                     steps += 1
-                    accepted = True
+                    line_failures = 0
                     break
                 t *= self.backtrack_factor
-            if not accepted:
-                line_failures += 1
+            if line_failures:
                 hess_inv = ident.copy()
                 scaled = False
                 if line_failures >= self.max_line_failures:
                     termination = "line_search_failure"
                     break
-            else:
-                line_failures = 0
         return x, SearchTrace(start_value, fx, steps, termination, nev)
 
 

@@ -93,6 +93,9 @@ class SolverConfig:
             count = isinstance(value, numbers.Integral) and not isinstance(value, bool)
             if not count or value < 1:
                 raise ParameterError(f"{name} must be an int >= 1, got {value!r}")
+        for name in ("objective_minimizer_options", "filled_minimizer_options"):
+            if not isinstance(value := getattr(self, name), dict):
+                raise ParameterError(f"{name} must be an object, got {value!r}")
 
 
 @dataclasses.dataclass

@@ -221,9 +221,10 @@ def test_main_matrix_from_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_main_matrix_records_untyped_row_errors(tmp_path, capsys, jobs):
-    # Bad minimizer options are typed errors; a start pattern that is not a
-    # sequence raises TypeError inside the run. Each row records its error
-    # and the batch goes on.
+    # Bad minimizer options, option fields and run entries that are not
+    # objects are typed errors; a start pattern that is not a sequence
+    # raises TypeError inside the run. Each row records its error and the
+    # batch goes on.
     filled_options = {"filled_minimizer_options": {"foo": 1}}
     objective_options = {"objective_minimizer_options": {"grad_step": "x"}}
     config = {
@@ -232,18 +233,24 @@ def test_main_matrix_records_untyped_row_errors(tmp_path, capsys, jobs):
             {"problem": "booth", "config": objective_options},
             {"problem": "booth", "start_pattern": 5},
             {"problem": "booth"},
+            5,
+            {"problem": "booth", "config": {"objective_minimizer_options": 5}},
         ],
     }
     cfg_path = tmp_path / "runs.json"
     cfg_path.write_text(json.dumps(config))
     assert main(["matrix", str(cfg_path), "--output-dir", str(tmp_path),
                  "--name", "bad", "--jobs", jobs]) == 0
-    assert "hit rate: 1/4 (3 errors)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "hit rate: 1/6 (5 errors)" in out
+    assert "None: error: run spec must be an object, got 5" in out
     records = read_records_csv(tmp_path / "bad.csv")
     assert "unknown compass options ['foo']" in records[0]["error"]
     assert "quasi-newton option grad_step" in records[1]["error"]
     assert records[2]["error"] == "TypeError: 'int' object is not iterable"
     assert records[3]["error"] is None and records[3]["hit"] is True
+    assert records[4]["error"] == "run spec must be an object, got 5"
+    assert records[5]["error"] == "objective_minimizer_options must be an object, got 5"
 
 
 def test_main_matrix_deterministic_tables(tmp_path):

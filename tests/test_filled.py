@@ -123,6 +123,21 @@ def test_lattice_penalty_half_offsets():
     assert lattice_penalty(np.array([0.25, -0.25])) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_lattice_penalty_matches_the_plain_expression():
+    # n up to 12 crosses numpy's 8-element pairwise-sum block; dyadic
+    # offsets hit exact sines and ties of rint.
+    rng = np.random.default_rng(20)
+    for n in range(1, 13):
+        for scale in (0.5, 3.0, 1e6):
+            for _ in range(200):
+                x = rng.normal(scale=scale, size=n)
+                if rng.random() < 0.3:
+                    x = np.round(x * 8) / 8
+                frac = x - np.rint(x)
+                s = np.sin(np.pi * frac)
+                assert lattice_penalty(x) == float(np.sum(s * s)), x.tolist()
+
+
 def test_lattice_penalty_invariant_to_integer_shift():
     x = np.array([0.3, -0.8])
     shifted = x + np.array([4.0, -9.0])

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from intfill.benchmarks import get_problem
 from intfill.core import (
     BoxDomain,
     EvalCounter,
@@ -18,6 +19,7 @@ from intfill.local_search import (
     CompassSearch,
     QuasiNewton,
     SearchTrace,
+    _projected_step,
     make_minimizer,
     minimize_continuous,
     steepest_descent_discrete,
@@ -428,6 +430,127 @@ def test_quasi_newton_values_never_increase():
     )
     diffs = np.diff([v for _, v in iterates])
     assert len(diffs) > 2 and np.all(diffs <= 0)
+
+
+# --------------------------------------------- quasi-newton reference trajectory
+
+
+def reference_quasi_newton(qn, fn, x0, box):
+    """BFGS with whole-array line-search points, the reference for ``minimize``.
+
+    Each backtrack evaluates ``box.clamp(x + t * d)`` and gives up when
+    that point does not move; the curvature test uses ``np.linalg.norm``.
+    """
+    x = box.clamp(np.asarray(x0, dtype=float))
+    fx = start = float(fn(x))
+    nev, steps = 1, 0
+    lo = box.lower.astype(float).tolist()
+    hi = box.upper.astype(float).tolist()
+    ident = np.eye(x.shape[0])
+    hess_inv = ident.copy()
+    prev_g = prev_s = None
+    scaled = False
+    line_failures = 0
+    termination = "budget"
+    for _ in range(qn.max_iterations):
+        g, k = qn._gradient(fn, x, lo, hi)
+        nev += k
+        if not np.all(np.isfinite(g)):
+            termination = "non_finite"
+            break
+        if prev_g is not None:
+            yk = g - prev_g
+            sy = float(prev_s @ yk)
+            if sy > 1e-12 * np.linalg.norm(prev_s) * np.linalg.norm(yk):
+                if not scaled:
+                    hess_inv = (sy / float(yk @ yk)) * ident
+                    scaled = True
+                rho = 1.0 / sy
+                left = ident - rho * np.outer(prev_s, yk)
+                hess_inv = left @ hess_inv @ left.T + rho * np.outer(prev_s, prev_s)
+            prev_g = prev_s = None
+        if float(np.max(np.abs(g))) <= qn.grad_tol:
+            termination = "converged"
+            break
+        d = -hess_inv @ g
+        if float(g @ d) >= 0.0:
+            hess_inv = ident.copy()
+            scaled = False
+            d = -g
+        t = 1.0
+        accepted = False
+        for _ in range(qn.max_backtracks):
+            y = box.clamp(x + t * d)
+            move = y - x
+            if not move.any():
+                break
+            v = float(fn(y))
+            nev += 1
+            if v <= fx + qn.armijo_c1 * float(g @ move):
+                prev_s, prev_g = move, g
+                x, fx = y, v
+                steps += 1
+                accepted = True
+                break
+            t *= qn.backtrack_factor
+        if accepted:
+            line_failures = 0
+        else:
+            line_failures += 1
+            hess_inv = ident.copy()
+            scaled = False
+            if line_failures >= qn.max_line_failures:
+                termination = "line_search_failure"
+                break
+    return x, SearchTrace(start, fx, steps, termination, nev)
+
+
+_SCHAFFER = get_problem("schaffer-n1")
+_ROSENBROCK = get_problem("rosenbrock", 10)
+
+# (objective, box, start): a bowl, booth, schaffer-n1 with its many
+# backtracks, a linear objective whose iterates end on a face of the box
+# and whose last line searches cannot move, and rosenbrock at n = 10.
+QUASI_NEWTON_CASES = {
+    "quadratic": (
+        lambda x: (x[0] - 1.0) ** 2 + 4.0 * (x[1] + 2.0) ** 2, box2(), [4.0, 4.0]
+    ),
+    "booth": (booth, box2(-10, 10), [10.0, -10.0]),
+    "schaffer-n1": (_SCHAFFER.func, _SCHAFFER.box, [8.0, 2.0]),
+    "linear-to-bound": (lambda x: float(x[0] - 0.25 * x[1]), box2(), [0.3, -1.7]),
+    "rosenbrock-n10": (
+        _ROSENBROCK.func, _ROSENBROCK.box, np.linspace(-1.9, 1.7, 10)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUASI_NEWTON_CASES))
+def test_quasi_newton_matches_reference_trajectory(case):
+    objective, box, x0 = QUASI_NEWTON_CASES[case]
+    runs = []
+    for minimize in (reference_quasi_newton, QuasiNewton.minimize):
+        fn, calls = recorded(objective)
+        x, trace = minimize(QuasiNewton(), fn, np.array(x0, dtype=float), box)
+        points = [(p.dtype.str, p.tobytes(), repr(v)) for p, v in calls]
+        runs.append((x.dtype.str, x.tobytes(), repr(trace), points))
+    assert runs[1] == runs[0]
+    assert len(runs[0][3]) > 30
+
+
+def test_projected_step_is_box_clamp_bit_for_bit():
+    # The vectors hold +-0.0 against a 0 bound, NaN, +-inf and values
+    # around bounds of +-(2**53 + 1), which round to +-2**53 in float64.
+    big = 2.0**53
+    values = [0.0, -0.0, 1.5, -2.0, np.nan, np.inf, -np.inf, big, big + 2, -big - 2]
+    boxes = [(0, 0), (0, 3), (-3, 0), (-(2**53) - 1, 2**53 + 1), (2**53 + 1, 2**53 + 1)]
+    for lower, upper in boxes:
+        box = BoxDomain(np.array([lower]), np.array([upper]))
+        lo, hi = box.lower.astype(float).tolist(), box.upper.astype(float).tolist()
+        for xi, di, t in itertools.product(values, values, (1.0, 0.5, 2.0**-60)):
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN here too
+                want = box.clamp(np.array([xi]) + t * np.array([di]))
+            got = np.array(_projected_step([xi], t, [di], lo, hi))
+            assert got.tobytes() == want.tobytes(), (lower, upper, xi, di, t)
 
 
 # ---------------------------------------------------------------- registry

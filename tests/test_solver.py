@@ -72,6 +72,15 @@ def test_config_rejects_malformed_counts(field, value):
         SolverConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field", ["objective_minimizer_options", "filled_minimizer_options"]
+)
+@pytest.mark.parametrize("value", [5, None, ["grad_step"], "x"])
+def test_config_rejects_minimizer_options_that_are_not_objects(field, value):
+    with pytest.raises(ParameterError, match=f"{field} must be an object"):
+        SolverConfig(**{field: value})
+
+
 def test_config_accepts_numpy_and_huge_counts():
     cfg = SolverConfig(max_outer_iterations=np.int64(2), max_evaluations=10**30)
     assert cfg.max_outer_iterations == 2 and cfg.max_evaluations == 10**30
