@@ -56,12 +56,12 @@ def expand_start_pattern(pattern: Sequence[int], n: int) -> tuple[int, ...]:
 
 def rosenbrock_value(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    return float(np.add.reduce(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
 
 
 def rastrigin_value(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+    return float(10.0 * x.size + np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
 
 
 def colville_value(x: np.ndarray) -> float:
@@ -118,7 +118,7 @@ def quadratic_chain_value(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     n = x.size
     weights = n - np.arange(1, n)
-    chain = np.sum(weights * (x[:-1] ** 2 - x[1:]) ** 2)
+    chain = np.add.reduce(weights * (x[:-1] ** 2 - x[1:]) ** 2)
     return float((x[0] - 1.0) ** 2 + (x[1] - 1.0) ** 2 + n * chain)
 
 

@@ -41,7 +41,7 @@ class BudgetExhausted(RuntimeError):
 def as_int_point(x: Sequence[int] | np.ndarray) -> IntPoint:
     """Coerce ``x`` to an int64 lattice point.
 
-    Float inputs are accepted only when every entry is integral.
+    Float entries must be integral, and every entry must fit in int64.
     """
     arr = np.asarray(x)
     if arr.ndim != 1:
@@ -51,6 +51,9 @@ def as_int_point(x: Sequence[int] | np.ndarray) -> IntPoint:
             raise DomainError(f"non-integral coordinates in {arr!r}")
     elif arr.dtype.kind not in "iu":
         raise DomainError(f"cannot interpret dtype {arr.dtype} as lattice point")
+    for v in arr.tolist():
+        if not -(2**63) <= v < 2**63:
+            raise DomainError(f"coordinate {v!r} of {x!r} does not fit in int64")
     return arr.astype(np.int64)
 
 
@@ -105,14 +108,21 @@ class BoxDomain:
         return int(self.lower.shape[0])
 
     def contains(self, x: np.ndarray) -> bool:
-        """Exact lattice membership. Non-integral or non-finite is False."""
+        """Exact lattice membership; any non-integral entry (NaN, +-inf) gives False."""
         arr = np.asarray(x)
-        if arr.ndim != 1 or arr.shape != self.lower.shape:
+        if arr.shape != self.lower.shape:
             return False
+        xs = arr.tolist()
+        lo, hi = self.lower, self.upper
         if arr.dtype.kind == "f":
-            if not np.all(np.isfinite(arr)) or not np.all(arr == np.floor(arr)):
+            if not all(v.is_integer() for v in xs):
                 return False
-        return bool(np.all(arr >= self.lower) and np.all(arr <= self.upper))
+            lo, hi = lo.astype(float), hi.astype(float)  # as numpy compares them
+        elif arr.dtype.kind == "O":
+            with np.errstate(invalid="ignore"):  # a numpy scalar's inf // 1 warns
+                if not all(v == v // 1 for v in xs):  # NaN for NaN and +-inf
+                    return False
+        return all(a <= v <= b for a, v, b in zip(lo.tolist(), xs, hi.tolist()))
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
         """Project onto the box, preserving integer or float dtype.
@@ -151,7 +161,7 @@ def round_point(x: np.ndarray) -> IntPoint:
     operation.
     """
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"cannot round non-finite vector {arr!r}")
     shifted = np.floor(arr + np.where(arr > 0.0, 0.5, -0.5))
     out = np.where(arr == np.floor(arr), arr, shifted)
@@ -217,19 +227,20 @@ class EvalCounter:
     def total(self) -> int:
         return self.n_fu + self.n_fill
 
-    def _check(self) -> None:
-        if self.limit is not None and self.total() >= self.limit:
-            raise BudgetExhausted(
-                f"evaluation budget of {self.limit} reached "
-                f"(n_fu={self.n_fu}, n_fill={self.n_fill})"
-            )
+    def _exhausted(self) -> BudgetExhausted:
+        return BudgetExhausted(
+            f"evaluation budget of {self.limit} reached "
+            f"(n_fu={self.n_fu}, n_fill={self.n_fill})"
+        )
 
     def charge_objective(self) -> None:
-        self._check()
+        if self.limit is not None and self.n_fu + self.n_fill >= self.limit:
+            raise self._exhausted()
         self.n_fu += 1
 
     def charge_filled(self) -> None:
-        self._check()
+        if self.limit is not None and self.n_fu + self.n_fill >= self.limit:
+            raise self._exhausted()
         self.n_fill += 1
 
 

@@ -95,7 +95,7 @@ def filled_value(
     x: np.ndarray, anchor: np.ndarray, anchor_value: float, value_at_x: float, r: float
 ) -> float:
     """Envelope-times-gate filled value; pure function of its inputs."""
-    diff = as_real_point(x) - np.asarray(anchor, dtype=float)
+    diff = as_real_point(x) - anchor
     envelope = 1.0 / (float(diff @ diff) + 1.0) + 1.0
     gate = smoothed_step(smoothed_ramp(value_at_x - anchor_value, r))
     return envelope * gate
@@ -174,6 +174,7 @@ class InverseSquareFilled:
 
     def raw(self, x: np.ndarray) -> float:
         self.objective.counter.charge_filled()
+        x = np.asarray(x, dtype=float)  # once, for the objective and the envelope
         fx = self.objective.embedded(x)
         excess = fx - self.anchor_value
         if excess < self.min_excess:

@@ -13,6 +13,7 @@ neighborhood with a fixed scan order for ties.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import math
 import numbers
@@ -111,7 +112,7 @@ class CompassSearch:
         hi = box.upper.astype(float).tolist()
         lattice = step.is_integer() and float(self.expand).is_integer()
         lattice = lattice and max(map(abs, lo + hi), default=0.0) < 2.0**63
-        lattice = lattice and bool(np.all(x == np.rint(x)))
+        lattice = lattice and bool((x == np.rint(x)).all())
         if lattice:
             x += 0.0  # turns -0.0 into 0.0, which int64 cannot tell apart
         fx = start_value = float(fn(x.astype(np.int64) if lattice else x))
@@ -285,6 +286,11 @@ MINIMIZERS: dict[str, type] = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _option_names(cls: type) -> tuple[str, ...]:
+    return tuple(inspect.signature(cls).parameters)  # dataclass or not
+
+
 def make_minimizer(method: str, options: dict | None = None):
     try:
         cls = MINIMIZERS[method]
@@ -292,7 +298,7 @@ def make_minimizer(method: str, options: dict | None = None):
         known = ", ".join(sorted(MINIMIZERS))
         raise ParameterError(f"unknown minimizer {method!r}; known: {known}")
     options = options or {}
-    valid = tuple(inspect.signature(cls).parameters)  # dataclass or not
+    valid = _option_names(cls)
     unknown = sorted(set(options) - set(valid))
     if unknown:
         raise ParameterError(

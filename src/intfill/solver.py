@@ -120,7 +120,7 @@ class SolveReport:
 def vertex_check(x: IntPoint, box: BoxDomain) -> bool:
     """True when every coordinate sits on a bound of the box."""
     arr = np.asarray(x)
-    return bool(np.all((arr == box.lower) | (arr == box.upper)))
+    return bool(((arr == box.lower) | (arr == box.upper)).all())
 
 
 @dataclasses.dataclass

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from intfill import benchmarks
 from intfill.benchmarks import (
     APPENDIX_RUNS,
     BRUTE_FORCE_GUARD,
@@ -59,6 +60,35 @@ def test_lattice_and_real_evaluations_agree_bitwise(name):
     for _ in range(20):
         x = p.box.random_point(rng)
         assert p.func(x) == p.func(x.astype(float))
+
+
+# The sums as written with np.sum, which the formulas call as np.add.reduce.
+SUM_FORMULAS = {
+    "rosenbrock_value": lambda x: float(
+        np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
+    ),
+    "rastrigin_value": lambda x: float(
+        10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x))
+    ),
+    "quadratic_chain_value": lambda x: float(
+        (x[0] - 1.0) ** 2
+        + (x[1] - 1.0) ** 2
+        + x.size * np.sum((x.size - np.arange(1, x.size)) * (x[:-1] ** 2 - x[1:]) ** 2)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUM_FORMULAS))
+def test_summed_formulas_match_np_sum_bit_for_bit(name):
+    # n > 8 reaches numpy's pairwise-summation blocks.
+    func, reference = getattr(benchmarks, name), SUM_FORMULAS[name]
+    rng = np.random.default_rng(11)
+    for n in range(2, 31):
+        for _ in range(40):
+            x = rng.normal(scale=rng.choice([1e-3, 1.0, 7.0, 1e4]), size=n)
+            assert func(x).hex() == reference(x).hex(), (n, x)
+            z = rng.integers(-10, 11, size=n)
+            assert func(z).hex() == reference(z.astype(float)).hex(), (n, z)
 
 
 # Frozen point values, each computed by hand from the formula.

@@ -114,6 +114,13 @@ def test_execute_run_error_is_captured_not_raised():
     assert "unknown run keys" in rec["error"]
 
 
+def test_execute_run_names_a_start_outside_int64():
+    rec = execute_run({"problem": "booth", "start": [2**64 - 1, 0]}, {})
+    assert "18446744073709551615" in rec["error"]
+    assert "does not fit in int64" in rec["error"]
+    assert rec["f_g"] is None
+
+
 def test_execute_run_merges_defaults_under_per_run_overrides():
     rec = execute_run(
         {"problem": "booth", "config": {"max_outer_iterations": 1}},

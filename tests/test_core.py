@@ -125,6 +125,63 @@ def test_box_contains_is_exact_lattice():
     assert not box.contains(np.array([0, 0, 0]))
 
 
+def reference_contains(box, x):
+    """The numpy body ``BoxDomain.contains`` had before it moved to scalars."""
+    arr = np.asarray(x)
+    if arr.ndim != 1 or arr.shape != box.lower.shape:
+        return False
+    if arr.dtype.kind == "f":
+        if not np.all(np.isfinite(arr)) or not np.all(arr == np.floor(arr)):
+            return False
+    return bool(np.all(arr >= box.lower) and np.all(arr <= box.upper))
+
+
+_BIG = 2**53 + 1
+_FLOATS = [0.0, -0.0, 1.5, -1.5, 5.0, -6.0, np.nan, np.inf, -np.inf,
+           2.0**53, 2.0**53 + 2, 2.0**63, -(2.0**63), 1e300]
+_CONTAINS_VALUES = {
+    np.int64: [0, 1, -1, 5, -6, 2**53, _BIG, -_BIG, 2**63 - 1, -(2**63)],
+    np.uint64: [0, 1, 5, 6, 2**53, _BIG, 2**63 - 1, 2**63, 2**64 - 1],
+    np.float64: _FLOATS,
+    np.float32: [v for v in _FLOATS if v != 1e300],
+    np.bool_: [False, True],
+}
+_CONTAINS_BOUNDS = [
+    (-5, 5), (0, 0), (1, 1), (-_BIG, _BIG), (_BIG, _BIG),
+    (-(2**63 - 1), 2**63 - 1), (-(2**63), 2**63 - 1),
+]
+
+
+@pytest.mark.parametrize("dtype", list(_CONTAINS_VALUES), ids=lambda t: t.__name__)
+def test_box_contains_matches_reference_on_numeric_grid(dtype):
+    values = _CONTAINS_VALUES[dtype]
+    cases = 0
+    for lo, hi in _CONTAINS_BOUNDS:
+        box = BoxDomain(np.array([lo, lo]), np.array([hi, hi]))
+        for a in values:
+            for b in values:
+                x = np.array([a, b], dtype=dtype)
+                assert box.contains(x) is reference_contains(box, x), (lo, hi, x)
+                cases += 1
+        for x in (np.array([values[0]], dtype=dtype), np.zeros((2, 1), dtype=dtype)):
+            assert box.contains(x) is reference_contains(box, x) is False
+    assert cases == len(_CONTAINS_BOUNDS) * len(values) ** 2
+
+
+def test_box_contains_object_arrays_need_integral_entries():
+    box = BoxDomain(np.array([0, 0]), np.array([3, 3]))
+    assert box.contains(np.array([1, 3], dtype=object))
+    assert box.contains(np.array([1.0, 2], dtype=object))
+    numpy_inf = (np.float64(np.inf), np.float32(-np.inf), np.float64(np.nan))
+    for bad in ([1.5, 1], [np.nan, 1.0], [np.inf, 1], [1, -np.inf], [2**70, 1], [-1, 0],
+                *([v, 1] for v in numpy_inf)):
+        assert not box.contains(np.array(bad, dtype=object)), bad
+    obj = ObjectiveFunction(lambda x: float(x @ x), box, EvalCounter())
+    with pytest.raises(DomainError):
+        obj(np.array([1.5, 1], dtype=object))
+    assert obj.counter.n_fu == 0
+
+
 def test_box_clamp_preserves_dtype():
     box = box2()
     out_i = box.clamp(np.array([7, -9]))
@@ -297,6 +354,20 @@ def test_as_int_point_rejects_fractional():
     np.testing.assert_array_equal(as_int_point(np.array([3.0, -2.0])), [3, -2])
     with pytest.raises(DomainError):
         as_int_point(np.array([0.5, 1.0]))
+
+
+def test_as_int_point_rejects_values_outside_int64():
+    with pytest.raises(DomainError, match="18446744073709551615"):
+        as_int_point(np.array([2**64 - 1], dtype=np.uint64))
+    with pytest.raises(DomainError, match="does not fit in int64"):
+        BoxDomain(np.array([-1e19]), np.array([1e19]))
+    for bad in ([2.0**63], [0.0, -(2.0**64)], np.array([2**63], dtype=np.uint64)):
+        with pytest.raises(DomainError, match="does not fit in int64"):
+            as_int_point(bad)
+    # The extremes of int64 itself still pass, from ints and from floats.
+    edges = as_int_point(np.array([2**63 - 1, -(2**63)], dtype=np.int64))
+    np.testing.assert_array_equal(edges, [2**63 - 1, -(2**63)])
+    np.testing.assert_array_equal(as_int_point([-(2.0**63)]), [-(2**63)])
 
 
 def test_point_key_round_trip():

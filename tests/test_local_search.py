@@ -560,6 +560,8 @@ def test_make_minimizer_dispatch_and_options():
     m = make_minimizer("compass", {"initial_step": 2.0})
     assert isinstance(m, CompassSearch) and m.initial_step == 2.0
     assert isinstance(make_minimizer("quasi-newton"), QuasiNewton)
+    # Option names are cached per class; instances are not.
+    assert make_minimizer("compass") is not make_minimizer("compass")
     with pytest.raises(ParameterError):
         make_minimizer("annealing")
 
