@@ -43,6 +43,11 @@ def as_int_point(x: Sequence[int] | np.ndarray) -> IntPoint:
 
     Float entries must be integral, and every entry must fit in int64.
     """
+    # Python ints first: numpy turns a list holding one outside int64
+    # into float64 or object entries and loses which one it was.
+    for v in x if isinstance(x, (list, tuple)) else ():
+        if isinstance(v, int) and not -(2**63) <= v < 2**63:
+            raise DomainError(f"coordinate {v!r} of {x!r} does not fit in int64")
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise DomainError(f"expected a 1-d point, got shape {arr.shape}")

@@ -18,9 +18,8 @@ more, so minimizing it drains trajectories into improving regions.
 
 For searches run in the continuous relaxation, ``AugmentedFilled`` adds
 ``|F(x)| * sum_i sin^2(pi x_i)``, a penalty that vanishes exactly on
-the lattice and pushes minimizers toward integer coordinates. An
-integer-dtype argument is a lattice point, where the penalty is not
-computed at all.
+the lattice and pushes minimizers toward integer coordinates; at a
+lattice point it is not computed at all.
 """
 from __future__ import annotations
 
@@ -186,18 +185,19 @@ class AugmentedFilled:
     """Filled value plus the lattice-attracting penalty.
 
     On lattice points the penalty term is exactly 0.0, so augmented and
-    raw values agree bit for bit there. An integer-dtype argument is a
-    lattice point, and its raw value is returned without computing the
+    raw values agree bit for bit there. At a ``float64`` point with every
+    coordinate integral, the raw value is returned without computing the
     penalty: ``raw + abs(raw) * 0.0 == raw`` for every value ``raw`` can
-    take (finite or NaN), so both dtypes give the same result.
+    take (finite or NaN), so skipping it changes no bit.
     """
 
     def __init__(self, base: InverseSquareFilled) -> None:
         self.base = base
 
     def __call__(self, x: np.ndarray) -> float:
+        x = as_real_point(x)  # once, for the raw value and the penalty
         raw = self.base.raw(x)
-        if np.asarray(x).dtype.kind in "iu":
+        if all(map(float.is_integer, x.tolist())):  # False for NaN and +-inf
             return raw
         return raw + abs(raw) * lattice_penalty(x)
 

@@ -78,9 +78,8 @@ class CompassSearch:
     shrinks. A successful round multiplies the step by ``expand``, capped
     at the widest extent of the box; the default 1 keeps the step fixed,
     and an integer factor from an integer step keeps every poll of a
-    lattice start on the lattice until the first shrink. The iterate and
-    the returned point are ``float64``; until that shrink, each point
-    passed to ``fn`` from such a start is its ``int64`` copy.
+    lattice start on the lattice until the first shrink. The iterate,
+    each point passed to ``fn`` and the returned point are ``float64``.
     A poll at a point the call already evaluated, such as one that
     projects back onto the current point at a face of the box, is
     skipped: each distinct point reaches ``fn`` at most once.
@@ -104,23 +103,18 @@ class CompassSearch:
     ) -> tuple[np.ndarray, SearchTrace]:
         x = box.clamp(as_real_point(x0))
         step = float(self.initial_step)
-        # A poll moves one coordinate and clamps it in Python floats, which
-        # round as float64 arrays do: from a lattice point with an integral
-        # step every poll is a lattice point, so fn gets int64 points until a
-        # shrink, unless a bound rounds to +-2**63, which int64 cannot hold.
         lo = box.lower.astype(float).tolist()
         hi = box.upper.astype(float).tolist()
-        lattice = step.is_integer() and float(self.expand).is_integer()
-        lattice = lattice and max(map(abs, lo + hi), default=0.0) < 2.0**63
-        lattice = lattice and bool((x == np.rint(x)).all())
-        if lattice:
-            x += 0.0  # turns -0.0 into 0.0, which int64 cannot tell apart
-        fx = start_value = float(fn(x.astype(np.int64) if lattice else x))
+        fx = start_value = float(fn(x))
         nev, steps = 1, 0
         xs = x.tolist()
         # fx only falls, so every value seen is >= fx or NaN: a repeated
         # point cannot improve, and each distinct point is evaluated once.
         seen = {x.tobytes()}
+        # A poll is base with one coordinate moved and clamped in Python
+        # floats: bit for bit the clamp of x + step * d, which also turns a
+        # -0.0 of the start into 0.0. An accepted poll holds no -0.0.
+        base = x + 0.0
         # Python ints: an int64 difference wraps for boxes wider than 2**63.
         extents = (u - l for l, u in zip(box.lower.tolist(), box.upper.tolist()))
         widest = float(max(extents, default=0))
@@ -136,22 +130,21 @@ class CompassSearch:
                     yi = min(max(yi, lo[i]), hi[i])
                     if yi == xi:  # projected back onto x: skip before keying
                         continue
-                    y = x.copy()
+                    y = base.copy()
                     y[i] = yi
                     key = y.tobytes()
                     if key in seen:
                         continue
                     seen.add(key)
-                    v = float(fn(y.astype(np.int64) if lattice else y))
+                    v = float(fn(y))
                     nev += 1
                     if v < best_val:
                         best, best_val = y, v
             if best is None:
                 step *= self.shrink
-                lattice = False
             else:
-                x, fx = best, best_val
-                xs = x.tolist()
+                x = base = best
+                fx, xs = best_val, x.tolist()
                 steps += 1
                 if self.expand > 1:
                     step = min(step * self.expand, max(step, widest))

@@ -193,7 +193,7 @@ def _generic(
     escape = make_minimizer(cfg.filled_minimizer, escape_options)
     while True:
         # Phase 1: continuous descent of f, rounding, lattice descent.
-        x_cont, obj_trace = descent.minimize(obj.relaxed, x_start.astype(float), box)
+        x_cont, obj_trace = descent.minimize(obj.relaxed, x_start, box)
         x_rounded = box.clamp(round_point(x_cont))
         x_star, f_star = steepest_descent_discrete(obj, x_rounded, box)
         rec.note_anchor(x_star, f_star)
@@ -234,7 +234,7 @@ def _generic(
             while True:
                 filled.r = r
                 filled.reset_excess()
-                x_esc, _ = escape.minimize(target, candidate.astype(float), box)
+                x_esc, _ = escape.minimize(target, candidate, box)
                 point_filled = filled.raw(x_esc)
                 check = rounding_error_check(anchor_filled, point_filled, x_esc)
                 rec.bound_checks.append(check)

@@ -364,6 +364,11 @@ def test_as_int_point_rejects_values_outside_int64():
     for bad in ([2.0**63], [0.0, -(2.0**64)], np.array([2**63], dtype=np.uint64)):
         with pytest.raises(DomainError, match="does not fit in int64"):
             as_int_point(bad)
+    # Python ints are checked before numpy turns the list into float64
+    # or object entries, so the error names the entry outside int64.
+    for bad, named in (([2**63 - 1, 2**64 - 1], 2**64 - 1), ([1, 2**70], 2**70)):
+        with pytest.raises(DomainError, match=f"coordinate {named} of .* does not fit in int64"):
+            as_int_point(bad)
     # The extremes of int64 itself still pass, from ints and from floats.
     edges = as_int_point(np.array([2**63 - 1, -(2**63)], dtype=np.int64))
     np.testing.assert_array_equal(edges, [2**63 - 1, -(2**63)])

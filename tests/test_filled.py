@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import intfill.filled
 from intfill.core import BoxDomain, EvalCounter, ObjectiveFunction, ParameterError
 from intfill.filled import (
     AugmentedFilled,
@@ -269,10 +270,39 @@ def _fast_and_float_paths(point, value, anchor_value, r):
 @example([4], float("-inf"), 0.0, 1.0)
 @example([2, 2], -1.0, 0.0, 1.0)  # improvement beyond the margin: value 0.0
 def test_augmented_lattice_fast_path_is_bit_identical(point, value, anchor_value, r):
-    # An int64 point skips the penalty; a float64 one adds abs(raw) * 0.0.
+    # The three arguments are one float64 lattice point, which skips the penalty.
     fast, slow, listed = _fast_and_float_paths(point, value, anchor_value, r)
     assert fast == slow == listed
     assert (fast[1], fast[2]) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "point, penalties",
+    [
+        ([2.0, -3.0], 0),
+        ([-0.0, 4.0], 0),
+        ([2.0**60, -(2.0**60)], 0),
+        ([0.5, 0.0], 1),
+        ([np.nan, 1.0], 1),
+        ([np.inf, 1.0], 1),
+        ([1.0, -np.inf], 1),
+    ],
+)
+def test_augmented_skips_the_penalty_only_where_every_coordinate_is_integral(
+    monkeypatch, point, penalties
+):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return lattice_penalty(x)
+
+    monkeypatch.setattr(intfill.filled, "lattice_penalty", counted)
+    obj = make_objective(lambda x: 1.0)
+    wrapped = AugmentedFilled(InverseSquareFilled(obj, np.array([0, 0]), 0.0, 1.0))
+    with np.errstate(invalid="ignore"):  # the penalty at +-inf is inf - inf
+        wrapped(np.array(point))
+    assert len(calls) == penalties
 
 
 def test_augmented_fast_path_covers_zero_filled_value():
