@@ -195,7 +195,7 @@ class AugmentedFilled:
         self.base = base
 
     def __call__(self, x: np.ndarray) -> float:
-        x = as_real_point(x)  # once, for the raw value and the penalty
+        x = np.asarray(x, dtype=float)  # once, for the raw value and the penalty
         raw = self.base.raw(x)
         if all(map(float.is_integer, x.tolist())):  # False for NaN and +-inf
             return raw
