@@ -104,14 +104,8 @@ def filled_value(
 class FilledParams:
     """Margin schedule for the gate.
 
-    ``r`` starts each candidate's passes at ``r_max``. After a pass that
-    fails to improve, the next margin is ``r * shrink_factor``, or the
-    largest amount by which a point of the failed pass beat the anchor
-    value if that is smaller, so the gate closes at that point. A pass
-    whose margin comes from such a point runs even below ``r_min``;
-    ``r_min`` bounds only the blind geometric shrink, and the candidate
-    is given up once that shrink drops below it. A pass that saw no point
-    below the anchor value is final, since any margin would replay it.
+    ``r`` starts each candidate's passes at ``r_max``; ``next_margin``
+    gives the margin after a pass that fails to improve.
     """
 
     r_max: float = 1.0
@@ -127,6 +121,25 @@ class FilledParams:
             raise ParameterError(
                 f"shrink factor must lie in (0, 1), got {self.shrink_factor}"
             )
+
+    def next_margin(self, r: float, min_excess: float) -> float | None:
+        """Margin for the retry after a failed pass at ``r``; None gives up.
+
+        ``min_excess`` is the lowest ``f(x) - f(anchor)`` the pass saw. At
+        or above 0 the gate was saturated at 1 along the whole pass, and
+        any margin would replay it, so the candidate is given up. Otherwise
+        the next margin is ``r * shrink_factor``, or the improvement the
+        pass saw if that is smaller, so that the gate closes at that point;
+        such a margin runs even below ``r_min``, which bounds only the blind
+        geometric shrink.
+        """
+        if min_excess >= 0.0:
+            return None
+        seen = -min_excess
+        r *= self.shrink_factor
+        if seen < r:
+            return seen
+        return None if r < self.r_min else r
 
 
 class InverseSquareFilled:
@@ -163,11 +176,9 @@ class InverseSquareFilled:
         """Restart tracking of the lowest ``f(x) - f(anchor)`` seen.
 
         While the excess stays >= 0 the gate is saturated at 1 at every
-        evaluated point, which makes the value independent of ``r``; the
-        solver uses that to skip retries that would replay an identical
-        trajectory under a smaller margin. A negative excess is the
-        largest improvement a pass saw, and the solver caps the next
-        margin at its size so that the gate closes at that point.
+        evaluated point, which makes the value independent of ``r``. A
+        negative excess is the largest improvement a pass saw.
+        ``FilledParams.next_margin`` reads both cases.
         """
         self.min_excess = np.inf
 

@@ -8,17 +8,14 @@ best discrete local minimizer of the current pass):
 2. from each unit neighbor of the anchor, minimize the augmented filled
    function; round the endpoint and take the best objective value over
    its neighborhood. Any strict improvement restarts phase 1 from the
-   improving point. Otherwise, if the pass saw a point below the anchor
-   value, the neighbor is retried with a smaller gate margin ``r``: the
-   geometric shrink of ``r``, or that point's improvement if smaller, so
-   that the gate closes there (see ``FilledParams``). The retries stop
-   when the pass saw no such point, when the geometric shrink drops
-   below ``r_min``, or when the endpoint lands on a box vertex; the next
-   neighbor then starts with ``r`` reset.
+   improving point. Otherwise the neighbor is retried with the margin
+   ``FilledParams.next_margin`` gives, until it gives none or the
+   endpoint lands on a box vertex; the next neighbor then starts with
+   ``r`` reset.
 
 The outer loop runs the inner search ``max_outer_iterations`` times,
 and every round starts from the incumbent: the best anchor found so
-far, or the start point before any round has improved on it. Round 1
+far once it beats the start point's value, else the start. Round 1
 escapes with the configured filled minimizer as given. A later round
 descends back to an anchor an earlier round already escaped from, so
 when the filled minimizer is ``"compass"``, round ``k`` multiplies the
@@ -34,11 +31,15 @@ ordering, neighborhood argmins, and the objective evaluation embedded
 in each filled value unless the objective's ``count_in_filled`` is off)
 charges ``n_fu``, and every filled evaluation (including the per-escape
 bound check and the D1/DC2 condition checks) charges ``n_fill``. When the
-combined budget runs out mid-search the run is cut deterministically;
-the best feasible point seen is then polished to a discrete local
-minimizer with the budget lifted, so reported counters may slightly
-exceed the budget on truncated runs. The reported point is a discrete
-local minimizer on every path.
+combined budget runs out mid-search the run is cut deterministically.
+
+The run record keeps the best anchor and the best lattice point seen,
+and one exit reads them whether the rounds ran out or the budget cut
+the search: the best anchor is reported, unless a point seen beats it.
+That point is then polished to a discrete local minimizer with the
+budget lifted (a ``finalize_descent`` event), so reported counters may
+slightly exceed the budget. The reported point is a discrete local
+minimizer on every path.
 """
 from __future__ import annotations
 
@@ -130,9 +131,15 @@ class _RunRecord:
     d1_checks: list[dict] = dataclasses.field(default_factory=list)
     dc2_checks: list[dict] = dataclasses.field(default_factory=list)
     # Best discrete local minimizer reached (anchors always are) and the
-    # best raw lattice value seen, for budget-cut recovery.
+    # best lattice value seen: the start, the anchors and escape landings.
     best_anchor: tuple[IntPoint, float] | None = None
     best_seen: tuple[IntPoint, float] | None = None
+
+    def incumbent(self, start: IntPoint, f_start: float) -> tuple[IntPoint, float]:
+        """Where an outer round starts: the best anchor once it beats the start."""
+        if self.best_anchor is not None and self.best_anchor[1] < f_start:
+            return self.best_anchor
+        return start, f_start
 
     def note_anchor(self, x: IntPoint, v: float) -> None:
         if self.best_anchor is None or v < self.best_anchor[1]:
@@ -225,11 +232,8 @@ def _generic(
         _check_d1(obj, target, x_star, anchor_filled, rec)
 
         # Phase 2: escape attempts from each neighbor, cheapest first.
-        scored = [(obj(nb), nb) for nb in neighborhood(x_star, box)[:-1]]
-        scored.sort(key=lambda t: t[0])
         escaped = False
-        for f_cand, candidate in scored:
-            rec.note_seen(candidate, f_cand)
+        for candidate in sorted(neighborhood(x_star, box)[:-1], key=obj):
             r = params.r_max
             while True:
                 filled.r = r
@@ -259,23 +263,8 @@ def _generic(
                         pending_dc2 = f_star
                     x_start = x_prime
                     break
-                if filled.min_excess >= 0.0:
-                    # Every evaluated point sat at or above the anchor value,
-                    # so the gate term was saturated at 1 along the whole
-                    # trajectory and shrinking r would replay it verbatim.
-                    # Advance to the next candidate directly.
-                    break
-                # The gate closes only where f <= f* - r. A point the pass
-                # saw beating the anchor by less than the next margin sets
-                # that margin, so the gate closes there; only the blind
-                # geometric shrink is bounded by r_min.
-                seen = -filled.min_excess
-                r *= params.shrink_factor
-                if seen < r:
-                    r = seen
-                elif r < params.r_min:
-                    break
-                if vertex_check(x_prime, box):
+                r = params.next_margin(r, filled.min_excess)
+                if r is None or vertex_check(x_prime, box):
                     break
             if escaped:
                 break
@@ -284,30 +273,26 @@ def _generic(
         # An improvement restarts phase 1 from the improving point.
 
 
-def _recover_best(
-    obj: ObjectiveFunction, rec: _RunRecord, x0: IntPoint
-) -> tuple[IntPoint, float, bool]:
-    """Best point after a budget cut, as a discrete local minimizer.
+def _best_minimizer(
+    obj: ObjectiveFunction, rec: _RunRecord, start: IntPoint
+) -> tuple[IntPoint, float]:
+    """The reported point: the best anchor, unless a point seen beats it.
 
-    Returns (point, value, polished). Lifts the counter limit when a
-    final descent (or a first evaluation) is still required; the report
-    keeps the extra charges so counters stay truthful.
+    Such a point (the start, or an escape landing) is polished to a
+    discrete local minimizer with the counter limit lifted, and the
+    report keeps those charges so counters stay truthful.
     """
-    candidates: list[tuple[IntPoint, float, bool]] = []
-    if rec.best_anchor is not None:
-        candidates.append((rec.best_anchor[0], rec.best_anchor[1], True))
-    if rec.best_seen is not None:
-        candidates.append((rec.best_seen[0], rec.best_seen[1], False))
-    if not candidates:
-        obj.counter.limit = None
-        f0 = obj(x0)
-        candidates.append((np.array(x0), f0, False))
-    point, value, is_min = min(candidates, key=lambda t: (t[1], not t[2]))
-    if is_min:
-        return point, value, False
-    obj.counter.limit = None
-    x_fin, f_fin = steepest_descent_discrete(obj, point, obj.box)
-    return x_fin, f_fin, True
+    counter = obj.counter
+    if rec.best_seen is None:  # the budget ran out before f(start)
+        counter.limit = None
+        rec.note_seen(start, obj(start))
+    anchor, (x_seen, f_seen) = rec.best_anchor, rec.best_seen
+    if anchor is not None and anchor[1] <= f_seen:
+        return anchor
+    counter.limit = None
+    x_fin, f_fin = steepest_descent_discrete(obj, x_seen, obj.box)
+    rec.log(counter, "finalize_descent", point=point_key(x_fin), value=f_fin)
+    return x_fin, f_fin
 
 
 def solve(
@@ -315,13 +300,14 @@ def solve(
 ) -> SolveReport:
     """Full restart search from ``x0``; always returns a report.
 
-    A limit already present on the counter is respected when it is
-    tighter than the configured budget.
+    The report names a discrete local minimizer whether the rounds run
+    out or the budget cuts the search (see ``_best_minimizer``). A limit
+    already present on the counter is respected when it is tighter than
+    the configured budget, and is restored on return and on any error.
     """
     cfg = cfg or SolverConfig()
-    box = obj.box
     start = as_int_point(x0)
-    if not box.contains(start):
+    if not obj.box.contains(start):
         raise DomainError(f"start {start!r} outside the box")
     counter = obj.counter
     saved_limit = counter.limit
@@ -331,37 +317,25 @@ def solve(
     t0 = time.perf_counter()
     termination = "max_iterations"
     outer_done = 0
-    x_g: IntPoint = np.array(start)
-    f_g = np.inf
-    incumbent_is_minimizer = False
     try:
-        f_g = obj(start)
-        rec.note_seen(start, f_g)
-        rec.log(counter, "start", point=point_key(start), value=f_g)
-        for outer_done in range(1, cfg.max_outer_iterations + 1):
-            x_res, f_res = _generic(obj, x_g, cfg, rec, outer=outer_done)
-            improved = f_res < f_g
-            if improved:
-                x_g, f_g = np.array(x_res), f_res
-                incumbent_is_minimizer = True
-            rec.log(
-                counter,
-                "outer_result",
-                outer=outer_done,
-                point=point_key(x_res),
-                value=f_res,
-                improved=improved,
-            )
-        if not incumbent_is_minimizer:
-            # No inner result beat f(x0): descend the start so the
-            # reported point is a discrete local minimizer too.
-            x_g, f_g = steepest_descent_discrete(obj, x_g, box)
-            rec.log(counter, "finalize_descent", point=point_key(x_g), value=f_g)
-    except BudgetExhausted:
-        termination = "budget"
-        x_g, f_g, polished = _recover_best(obj, rec, start)
-        if polished:
-            rec.log(counter, "finalize_descent", point=point_key(x_g), value=f_g)
+        try:
+            f_start = obj(start)
+            rec.note_seen(start, f_start)
+            rec.log(counter, "start", point=point_key(start), value=f_start)
+            for outer_done in range(1, cfg.max_outer_iterations + 1):
+                x_inc, f_inc = rec.incumbent(start, f_start)
+                x_res, f_res = _generic(obj, x_inc, cfg, rec, outer=outer_done)
+                rec.log(
+                    counter,
+                    "outer_result",
+                    outer=outer_done,
+                    point=point_key(x_res),
+                    value=f_res,
+                    improved=f_res < f_inc,
+                )
+        except BudgetExhausted:
+            termination = "budget"
+        x_g, f_g = _best_minimizer(obj, rec, start)
     finally:
         counter.limit = saved_limit
     wall = time.perf_counter() - t0

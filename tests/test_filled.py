@@ -338,6 +338,38 @@ def test_filled_params_defaults_and_validation():
         FilledParams(shrink_factor=0.0)
 
 
+@pytest.mark.parametrize("min_excess", [0.0, 2.5, np.inf])
+def test_next_margin_gives_up_after_a_saturated_pass(min_excess):
+    # No point of the pass beat the anchor, so any margin replays it.
+    assert FilledParams().next_margin(1.0, min_excess) is None
+
+
+@pytest.mark.parametrize("min_excess,margin", [(-0.05, 0.05), (-1e-7, 1e-7)])
+def test_next_margin_closes_the_gate_at_a_seen_improvement(min_excess, margin):
+    # Smaller than 1.0 * shrink_factor, so the gate closes at that point;
+    # 1e-7 runs even though it is below r_min.
+    assert FilledParams().next_margin(1.0, min_excess) == margin
+
+
+def test_next_margin_gives_up_when_the_shrink_drops_below_r_min():
+    assert FilledParams().next_margin(1e-4, -0.5) is None
+
+
+def test_next_margin_plain_shrink():
+    params = FilledParams()
+    assert params.next_margin(1.0, -0.5) == 0.1
+    assert params.next_margin(0.1, -0.1) == 0.1 * 0.1
+    assert FilledParams(shrink_factor=0.5).next_margin(1.0, -3.0) == 0.5
+
+
+def test_next_margin_treats_nan_excess_as_no_seen_improvement():
+    # NaN compares false both ways: the pass is not taken as saturated,
+    # and the geometric shrink applies, bounded by r_min as usual.
+    params = FilledParams()
+    assert params.next_margin(1.0, np.nan) == 0.1
+    assert params.next_margin(1e-4, np.nan) is None
+
+
 # ---------------------------------------------------------------- bound check
 
 

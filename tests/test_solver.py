@@ -150,18 +150,54 @@ def test_every_round_starts_from_the_incumbent():
     ids=["nan", "inf"],
 )
 def test_non_finite_neighborhood_raises_domain_error(func, start):
-    # An escape lands where every neighborhood value is NaN or +inf.
+    # An escape lands where every neighborhood value is NaN or +inf. The
+    # solve lowers the counter's limit to its budget and must restore the
+    # caller's limit on that error too.
     box = BoxDomain(np.array([-5, -5]), np.array([5, 5]))
+    counter = EvalCounter(limit=10**9)
     with pytest.raises(DomainError, match=r"NaN or \+inf"):
-        solve(ObjectiveFunction(func, box, EvalCounter()), np.array(start))
+        solve(ObjectiveFunction(func, box, counter), np.array(start))
+    assert counter.limit == 10**9
+
+
+def test_start_at_the_minimum_reports_its_anchor_without_a_polish():
+    # Every anchor ties f(start) = 0. The best anchor is reported as it
+    # is: no point the solve saw beats it, so nothing is polished.
+    rep = solve_problem(get_problem("booth"), x0=(1, 3))
+    assert rep.x_best == (1, 3)
+    assert rep.columns() == (0.0, 999, 920)
+    assert rep.termination == "max_iterations"
+    assert "finalize_descent" not in {e["kind"] for e in rep.events}
+
+
+def test_reported_value_is_at_most_every_value_the_solve_logged():
+    rng = np.random.default_rng(7)
+    names = ("booth", "three-hump-camel", "leon", "rastrigin", "rosenbrock")
+    # The small budgets cut some solves before their first anchor and
+    # some after it, so both ends of a solve and both reported kinds of
+    # point (best anchor, polished point) are covered.
+    budgets = (10_000_000, 3, 40, 300)
+    ends = set()
+    for i in range(20):
+        problem = get_problem(names[i % len(names)])
+        start = rng.integers(problem.box.lower, problem.box.upper, endpoint=True)
+        cfg = SolverConfig(max_evaluations=budgets[i % len(budgets)])
+        rep = solve_problem(problem, x0=start, cfg=cfg)
+        assert rep.f_best <= min(e["value"] for e in rep.events), (i, start)
+        assert is_discrete_local_min(problem.func, np.array(rep.x_best), problem.box)
+        ends.add((rep.termination, rep.events[-1]["kind"] == "finalize_descent"))
+    assert ends == {("max_iterations", False), ("budget", False), ("budget", True)}
+
+
+def double_well(x):
+    # Local minima near -3 and 3 with f(-3) = 3 and f(3) = -3.
+    return float((x[0] + 3.0) ** 2 * (x[0] - 3.0) ** 2 - x[0])
 
 
 def test_double_well_escape_and_dc2_record():
-    # f = (x+3)^2 (x-3)^2 - x has local minima near -3 and 3 with
-    # f(-3) = 3 and f(3) = -3; the filled phase must cross the barrier.
-    well = lambda x: float((x[0] + 3.0) ** 2 * (x[0] - 3.0) ** 2 - x[0])
+    # The filled phase must cross the barrier between the two wells.
     box = BoxDomain(np.array([-5]), np.array([5]))
-    rep = solve(ObjectiveFunction(well, box, EvalCounter()), np.array([-3]))
+    rep = solve(ObjectiveFunction(double_well, box, EvalCounter()), np.array([-3]))
     assert rep.x_best == (3,)
     assert rep.f_best == -3.0
     assert len(rep.dc2_checks) >= 1
@@ -299,6 +335,26 @@ def test_budget_cut_still_reports_local_minimizer():
     assert is_discrete_local_min(booth_fn, np.array(rep.x_best), obj.box)
     # The final polish may charge past the cut, but not before it.
     assert rep.n_fu + rep.n_fill >= 200
+
+
+def test_budget_cut_between_an_escape_and_its_anchor_reports_the_landing():
+    # The escape from the anchor -3 (f = 3) lands in the better well; a
+    # budget that ends right after it cuts the descent to the next anchor.
+    # The landing beats every anchor reached, so it is polished and reported.
+    box = BoxDomain(np.array([-5]), np.array([5]))
+    full = solve(ObjectiveFunction(double_well, box, EvalCounter()), np.array([-3]))
+    landing = next(e for e in full.events if e["kind"] == "escape" and e["improved"])
+    budget = landing["n_fu"] + landing["n_fill"] + 1
+    rep = solve(
+        ObjectiveFunction(double_well, box, EvalCounter()),
+        np.array([-3]),
+        SolverConfig(max_evaluations=budget),
+    )
+    assert rep.termination == "budget"
+    anchors = [e["value"] for e in rep.events if e["kind"] == "anchor"]
+    assert anchors == [3.0] and landing["value"] < 3.0
+    assert rep.events[-1]["kind"] == "finalize_descent"
+    assert rep.x_best == (3,) and rep.f_best == -3.0
 
 
 def test_budget_of_one_is_survivable():
