@@ -1,4 +1,8 @@
 """Tests for the escape loop, restart wrapper, and accounting."""
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -322,6 +326,45 @@ def test_repeated_solves_are_bitwise_identical(name, n, start):
     assert a.x_best == b.x_best
     assert a.termination == b.termination
     assert a.events == b.events
+
+
+def _hexed(v):
+    """``v`` with every float written as ``float.hex``, for a stable dump."""
+    if isinstance(v, float):
+        return float(v).hex()
+    if isinstance(v, dict):
+        return {k: _hexed(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_hexed(x) for x in v]
+    if dataclasses.is_dataclass(v):
+        return _hexed(dataclasses.astuple(v))
+    return v
+
+
+def report_digest(rep: SolveReport) -> str:
+    """Digest of everything a solve reports except its wall time."""
+    body = [
+        rep.events,
+        rep.bound_checks,
+        rep.d1_checks,
+        rep.dc2_checks,
+        (rep.x_best, rep.f_best, rep.n_fu, rep.n_fill, rep.termination),
+    ]
+    return hashlib.sha256(json.dumps(_hexed(body)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name,start,options,digest", [
+    ("booth", (0, 0), {}, "c273c2f63be475ee"),
+    ("leon", (10, 10), {}, "ccf27d1a18f1326b"),
+    ("three-hump-camel", (2, 2), {}, "c08a1671a3219913"),
+    ("booth", (0, 0), {"max_evaluations": 200}, "733bfa9c75dce124"),
+    ("booth", (0, 0), {"filled_minimizer": "quasi-newton"}, "75032363d1a5f2da"),
+])
+def test_solve_output_is_pinned_bit_for_bit(name, start, options, digest):
+    # A refactor of the solver that keeps the order of evaluations keeps
+    # every event, check record and column, and so these digests.
+    rep = solve_problem(get_problem(name), x0=start, cfg=SolverConfig(**options))
+    assert report_digest(rep) == digest
 
 
 # ---------------------------------------------------------------- budgets
