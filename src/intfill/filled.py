@@ -104,8 +104,9 @@ def filled_value(
 class FilledParams:
     """Margin schedule for the gate.
 
-    ``r`` starts each candidate's passes at ``r_max``; ``next_margin``
-    gives the margin after a pass that fails to improve.
+    Each candidate's first escape pass runs at ``r_max``; ``next_margin``
+    gives the margin of the next pass after one that fails to improve.
+    Every pass builds its own filled function at its margin.
     """
 
     r_max: float = 1.0
@@ -143,12 +144,19 @@ class FilledParams:
 
 
 class InverseSquareFilled:
-    """Counted filled function around a fixed anchor.
+    """Counted filled function around a fixed anchor, at a fixed margin.
 
     ``raw`` charges one filled evaluation plus the embedded objective
     evaluation it performs. The anchor's own filled value is a constant
     of the construction (envelope 2, gate 1) and is exposed without
     charging anything.
+
+    ``min_excess`` is the lowest ``f(x) - f(anchor)`` that ``raw`` has
+    seen, ``inf`` on a fresh instance. While it stays >= 0 the gate was
+    saturated at 1 at every evaluated point, which makes the value
+    independent of ``r``; a negative excess is the largest improvement
+    seen. The solver builds one instance per escape pass and hands its
+    ``min_excess`` to ``FilledParams.next_margin``.
     """
 
     name = "inverse-square"
@@ -171,16 +179,6 @@ class InverseSquareFilled:
 
     def anchor_filled_value(self) -> float:
         return 2.0
-
-    def reset_excess(self) -> None:
-        """Restart tracking of the lowest ``f(x) - f(anchor)`` seen.
-
-        While the excess stays >= 0 the gate is saturated at 1 at every
-        evaluated point, which makes the value independent of ``r``. A
-        negative excess is the largest improvement a pass saw.
-        ``FilledParams.next_margin`` reads both cases.
-        """
-        self.min_excess = np.inf
 
     def raw(self, x: np.ndarray) -> float:
         self.objective.counter.charge_filled()

@@ -5,13 +5,13 @@ best discrete local minimizer of the current pass):
 
 1. descend the objective (continuous minimizer, then rounding, then
    discrete steepest descent) to obtain the anchor, and
-2. from each unit neighbor of the anchor, minimize the augmented filled
-   function; round the endpoint and take the best objective value over
-   its neighborhood. Any strict improvement restarts phase 1 from the
-   improving point. Otherwise the neighbor is retried with the margin
-   ``FilledParams.next_margin`` gives, until it gives none or the
-   endpoint lands on a box vertex; the next neighbor then starts with
-   ``r`` reset.
+2. from each unit neighbor of the anchor, cheapest first, minimize an
+   augmented filled function built for that pass at the margin ``r_max``;
+   round the endpoint and take the best objective value over its
+   neighborhood. Any strict improvement restarts phase 1 from the
+   improving point. Otherwise the neighbor gets another pass, with a new
+   filled function at the margin ``FilledParams.next_margin`` gives,
+   until it gives none or the endpoint lands on a box vertex.
 
 The outer loop runs the inner search ``max_outer_iterations`` times,
 and every round starts from the incumbent: the best anchor found so
@@ -158,27 +158,69 @@ class _RunRecord:
         self.events.append(event)
 
 
-def _check_d1(
+def _escape(
     obj: ObjectiveFunction,
-    target: AugmentedFilled,
-    anchor: IntPoint,
-    anchor_filled: float,
+    escape: Any,
+    x_star: IntPoint,
+    f_star: float,
+    params: FilledParams,
     rec: _RunRecord,
-) -> None:
+    outer: int,
+) -> tuple[IntPoint, bool] | None:
+    """Phase 2 from the anchor ``x_star``: the D1 check, then escape passes
+    from each neighbor, cheapest first, each with its own filled function
+    at a fixed margin. Returns the neighborhood argmin of the first landing
+    that beats ``f_star`` and whether the next anchor owes a DC2 check (the
+    landing is a discrete local minimizer of its pass's filled function),
+    or None when every candidate gives up.
+    """
+    box = obj.box
+    neighbors = neighborhood(x_star, box)[:-1]
     # The anchor's own filled value is a constant of the construction;
     # every neighbor must fall strictly below it.
+    d1 = AugmentedFilled(InverseSquareFilled(obj, x_star, f_star, params.r_max))
+    anchor_filled = d1.base.anchor_filled_value()
     worst = -np.inf
-    for nb in neighborhood(anchor, obj.box)[:-1]:
-        v = target(nb)
-        worst = max(worst, v)
+    for nb in neighbors:
+        worst = max(worst, d1(nb))
     rec.d1_checks.append(
         {
-            "anchor": point_key(anchor),
+            "anchor": point_key(x_star),
             "passed": bool(worst < anchor_filled),
             "anchor_filled": anchor_filled,
             "max_neighbor_filled": worst,
         }
     )
+    for candidate in sorted(neighbors, key=obj):
+        r = params.r_max
+        while r is not None:
+            filled = InverseSquareFilled(obj, x_star, f_star, r)
+            target = AugmentedFilled(filled)
+            x_esc, _ = escape.minimize(target, candidate, box)
+            check = rounding_error_check(anchor_filled, filled.raw(x_esc), x_esc)
+            rec.bound_checks.append(check)
+            x_landed = box.clamp(round_point(x_esc))
+            x_prime, f_prime = neighborhood_argmin(obj, x_landed, box)
+            rec.note_seen(x_prime, f_prime)
+            improved = f_prime < f_star
+            rec.log(
+                obj.counter,
+                "escape",
+                outer=outer,
+                candidate=point_key(candidate),
+                r=r,
+                landed=point_key(x_landed),
+                point=point_key(x_prime),
+                value=f_prime,
+                improved=improved,
+                bound=check.status,
+            )
+            if improved:
+                return x_prime, is_discrete_local_min(target, x_landed, box)
+            if vertex_check(x_prime, box):
+                break
+            r = params.next_margin(r, filled.min_excess)
+    return None
 
 
 def _generic(
@@ -186,7 +228,6 @@ def _generic(
 ) -> tuple[IntPoint, float]:
     """One inner search from ``x0``; returns the final anchor."""
     box = obj.box
-    params = cfg.filled_params
     x_start = np.asarray(x0, dtype=np.int64)
     pending_dc2: float | None = None
     descent = make_minimizer(cfg.objective_minimizer, cfg.objective_minimizer_options)
@@ -224,53 +265,13 @@ def _generic(
                     "new_anchor_value": f_star,
                 }
             )
-            pending_dc2 = None
 
-        filled = InverseSquareFilled(obj, x_star, f_star, params.r_max)
-        target = AugmentedFilled(filled)
-        anchor_filled = filled.anchor_filled_value()
-        _check_d1(obj, target, x_star, anchor_filled, rec)
-
-        # Phase 2: escape attempts from each neighbor, cheapest first.
-        escaped = False
-        for candidate in sorted(neighborhood(x_star, box)[:-1], key=obj):
-            r = params.r_max
-            while True:
-                filled.r = r
-                filled.reset_excess()
-                x_esc, _ = escape.minimize(target, candidate, box)
-                point_filled = filled.raw(x_esc)
-                check = rounding_error_check(anchor_filled, point_filled, x_esc)
-                rec.bound_checks.append(check)
-                x_landed = box.clamp(round_point(x_esc))
-                x_prime, f_prime = neighborhood_argmin(obj, x_landed, box)
-                rec.note_seen(x_prime, f_prime)
-                escaped = f_prime < f_star
-                rec.log(
-                    obj.counter,
-                    "escape",
-                    outer=outer,
-                    candidate=point_key(candidate),
-                    r=r,
-                    landed=point_key(x_landed),
-                    point=point_key(x_prime),
-                    value=f_prime,
-                    improved=escaped,
-                    bound=check.status,
-                )
-                if escaped:
-                    if is_discrete_local_min(target, x_landed, box):
-                        pending_dc2 = f_star
-                    x_start = x_prime
-                    break
-                r = params.next_margin(r, filled.min_excess)
-                if r is None or vertex_check(x_prime, box):
-                    break
-            if escaped:
-                break
-        if not escaped:
+        # Phase 2: escape; an improvement restarts phase 1 from it.
+        landing = _escape(obj, escape, x_star, f_star, cfg.filled_params, rec, outer)
+        if landing is None:
             return x_star, f_star
-        # An improvement restarts phase 1 from the improving point.
+        x_start, owes_dc2 = landing
+        pending_dc2 = f_star if owes_dc2 else None
 
 
 def _best_minimizer(

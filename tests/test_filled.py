@@ -231,8 +231,6 @@ def test_min_excess_tracking():
     assert ff.min_excess == 3.0
     ff.raw(np.array([0.0, 0.0]))  # f = 0, excess -2
     assert ff.min_excess == -2.0
-    ff.reset_excess()
-    assert ff.min_excess == np.inf
 
 
 def test_augmented_equals_raw_on_lattice():
