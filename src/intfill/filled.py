@@ -102,11 +102,10 @@ def filled_value(
 
 @dataclasses.dataclass(frozen=True)
 class FilledParams:
-    """Margin schedule for the gate.
+    """Margin schedule for the gate, one filled function per escape pass.
 
-    Each candidate's first escape pass runs at ``r_max``; ``next_margin``
-    gives the margin of the next pass after one that fails to improve.
-    Every pass builds its own filled function at its margin.
+    Each candidate's first pass runs at ``r_max``; ``next_margin`` gives
+    the margin of the next pass after one that fails to improve.
     """
 
     r_max: float = 1.0
@@ -147,16 +146,10 @@ class InverseSquareFilled:
     """Counted filled function around a fixed anchor, at a fixed margin.
 
     ``raw`` charges one filled evaluation plus the embedded objective
-    evaluation it performs. The anchor's own filled value is a constant
-    of the construction (envelope 2, gate 1) and is exposed without
-    charging anything.
-
-    ``min_excess`` is the lowest ``f(x) - f(anchor)`` that ``raw`` has
-    seen, ``inf`` on a fresh instance. While it stays >= 0 the gate was
-    saturated at 1 at every evaluated point, which makes the value
-    independent of ``r``; a negative excess is the largest improvement
-    seen. The solver builds one instance per escape pass and hands its
-    ``min_excess`` to ``FilledParams.next_margin``.
+    evaluation it performs, and keeps ``min_excess`` (``inf`` at first),
+    the lowest ``f(x) - f(anchor)`` seen, for ``FilledParams.next_margin``.
+    The anchor's own filled value is a constant of the construction
+    (envelope 2, gate 1) and is exposed without charging anything.
     """
 
     name = "inverse-square"

@@ -44,6 +44,7 @@ minimizer on every path.
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import time
 from typing import Any
@@ -124,6 +125,11 @@ def vertex_check(x: IntPoint, box: BoxDomain) -> bool:
     return bool(((arr == box.lower) | (arr == box.upper)).all())
 
 
+def _beats(v: float, best: float) -> bool:
+    """``v < best``, except that any number beats NaN."""
+    return v < best or (math.isnan(best) and not math.isnan(v))
+
+
 @dataclasses.dataclass
 class _RunRecord:
     events: list[dict] = dataclasses.field(default_factory=list)
@@ -137,25 +143,23 @@ class _RunRecord:
 
     def incumbent(self, start: IntPoint, f_start: float) -> tuple[IntPoint, float]:
         """Where an outer round starts: the best anchor once it beats the start."""
-        if self.best_anchor is not None and self.best_anchor[1] < f_start:
+        if self.best_anchor is not None and _beats(self.best_anchor[1], f_start):
             return self.best_anchor
         return start, f_start
 
     def note_anchor(self, x: IntPoint, v: float) -> None:
-        if self.best_anchor is None or v < self.best_anchor[1]:
+        if self.best_anchor is None or _beats(v, self.best_anchor[1]):
             self.best_anchor = (np.array(x), v)
         self.note_seen(x, v)
 
     def note_seen(self, x: IntPoint, v: float) -> None:
-        if self.best_seen is None or v < self.best_seen[1]:
+        if self.best_seen is None or _beats(v, self.best_seen[1]):
             self.best_seen = (np.array(x), v)
 
     def log(self, counter: EvalCounter, kind: str, **fields: Any) -> None:
-        event = {"kind": kind}
-        event.update(fields)
-        event["n_fu"] = counter.n_fu
-        event["n_fill"] = counter.n_fill
-        self.events.append(event)
+        self.events.append(
+            {"kind": kind, **fields, "n_fu": counter.n_fu, "n_fill": counter.n_fill}
+        )
 
 
 def _escape(
@@ -167,12 +171,10 @@ def _escape(
     rec: _RunRecord,
     outer: int,
 ) -> tuple[IntPoint, bool] | None:
-    """Phase 2 from the anchor ``x_star``: the D1 check, then escape passes
-    from each neighbor, cheapest first, each with its own filled function
-    at a fixed margin. Returns the neighborhood argmin of the first landing
-    that beats ``f_star`` and whether the next anchor owes a DC2 check (the
-    landing is a discrete local minimizer of its pass's filled function),
-    or None when every candidate gives up.
+    """Phase 2 from the anchor: the D1 check, then escape passes from each
+    neighbor, cheapest first, each with its own filled function. Returns
+    the first improving point and whether the next anchor owes a DC2
+    check, or None when every candidate gives up.
     """
     box = obj.box
     neighbors = neighborhood(x_star, box)[:-1]

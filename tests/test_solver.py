@@ -164,6 +164,21 @@ def test_non_finite_neighborhood_raises_domain_error(func, start):
     assert counter.limit == 10**9
 
 
+def test_a_nan_start_is_not_reported_as_the_best_point():
+    # f(4, 4) is NaN, so the lattice descent stays there and every anchor
+    # is NaN; the escapes land at finite values, and the best of them is
+    # polished and reported instead.
+    def func(x):
+        return float("nan") if tuple(x) == (4, 4) else float(x @ x)
+
+    box = BoxDomain(np.array([-5, -5]), np.array([5, 5]))
+    rep = solve(ObjectiveFunction(func, box, EvalCounter()), np.array([4, 4]))
+    assert np.isfinite(rep.f_best)
+    assert rep.f_best == func(np.array(rep.x_best))
+    assert is_discrete_local_min(func, np.array(rep.x_best), box)
+    assert rep.x_best == (0, 0) and rep.f_best == 0.0
+
+
 def test_start_at_the_minimum_reports_its_anchor_without_a_polish():
     # Every anchor ties f(start) = 0. The best anchor is reported as it
     # is: no point the solve saw beats it, so nothing is polished.
