@@ -228,16 +228,12 @@ def brute_force_min(
 
 
 # The ten appendix rows run by the acceptance matrix: problem, dimension
-# override, starting point (decision space).
-APPENDIX_RUNS: tuple[tuple[str, int | None, tuple[int, ...]], ...] = (
-    ("colville", None, (0, 0, 0, 0)),
-    ("goldstein-price", None, (1, -1)),
-    ("beale", None, (0, 0)),
-    ("powell-singular", None, (10, -10, 10, -10)),
-    ("booth", None, (0, 0)),
-    ("quadratic-chain", None, expand_start_pattern((2,), 25)),
-    ("three-hump-camel", None, (2, 2)),
-    ("schaffer-n1", None, (-50, 50)),
-    ("leon", None, (10, 10)),
-    ("salomon", None, (-100, 100)),
+# override, starting point (decision space). Each row starts at its
+# problem's ``default_start``.
+APPENDIX_RUNS: tuple[tuple[str, int | None, tuple[int, ...]], ...] = tuple(
+    (name, None, get_problem(name).default_start)
+    for name in (
+        "colville", "goldstein-price", "beale", "powell-singular", "booth",
+        "quadratic-chain", "three-hump-camel", "schaffer-n1", "leon", "salomon",
+    )
 )
