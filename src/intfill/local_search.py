@@ -160,9 +160,14 @@ class QuasiNewton:
     and the actual probe spread divides the difference. The inverse
     Hessian is rescaled once after the first accepted step, updated only
     when curvature is positive, and reset whenever the model direction
-    fails to descend. Runs stop at a small projected gradient, the
-    iteration cap, a gradient that is not finite (``"non_finite"``), or
-    after ``max_line_failures`` consecutive failed line searches.
+    fails to descend. A run ends ``"converged"`` when one of two tests
+    passes, as in L-BFGS-B: the projected gradient is at most
+    ``grad_tol`` in every coordinate, or an accepted step lowers f by at
+    most ``ftol * max(|f_old|, |f_new|, 1)`` (relative reduction; the
+    default ``ftol`` is L-BFGS-B's ``factr = 1e7`` times machine epsilon).
+    It ends ``"non_finite"`` at a gradient that is not finite,
+    ``"line_search_failure"`` after ``max_line_failures`` consecutive
+    failed line searches, and ``"budget"`` at the iteration cap.
     """
 
     grad_step: float = 1e-6
@@ -172,10 +177,11 @@ class QuasiNewton:
     backtrack_factor: float = 0.5
     max_backtracks: int = 50
     max_line_failures: int = 5
+    ftol: float = 2.220446049250313e-09
 
     def __post_init__(self) -> None:
         _check_option_types(self, "quasi-newton")
-        if self.grad_step <= 0 or self.grad_tol <= 0:
+        if self.grad_step <= 0 or self.grad_tol <= 0 or self.ftol < 0:
             raise ParameterError(f"bad quasi-newton options: {self}")
         if not (0 < self.backtrack_factor < 1) or not (0 < self.armijo_c1 < 1):
             raise ParameterError(f"bad quasi-newton options: {self}")
@@ -214,6 +220,7 @@ class QuasiNewton:
         prev_s: np.ndarray | None = None
         scaled = False
         line_failures = 0
+        stalled = False
         termination = "budget"
         for _ in range(self.max_iterations):
             g, k = self._gradient(fn, x, lo, hi)
@@ -259,11 +266,15 @@ class QuasiNewton:
                 nev += 1
                 if v <= fx + self.armijo_c1 * float(g @ move):
                     prev_s, prev_g = move, g
+                    stalled = fx - v <= self.ftol * max(abs(fx), abs(v), 1.0)
                     x, fx = y, v
                     steps += 1
                     line_failures = 0
                     break
                 t *= self.backtrack_factor
+            if stalled:
+                termination = "converged"
+                break
             if line_failures:
                 hess_inv = ident.copy()
                 scaled = False

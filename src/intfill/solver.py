@@ -204,7 +204,7 @@ def _escape(
             x_landed = box.clamp(round_point(x_esc))
             x_prime, f_prime = neighborhood_argmin(obj, x_landed, box)
             rec.note_seen(x_prime, f_prime)
-            improved = f_prime < f_star
+            improved = _beats(f_prime, f_star)
             rec.log(
                 obj.counter,
                 "escape",
@@ -334,7 +334,7 @@ def solve(
                     outer=outer_done,
                     point=point_key(x_res),
                     value=f_res,
-                    improved=f_res < f_inc,
+                    improved=_beats(f_res, f_inc),
                 )
         except BudgetExhausted:
             termination = "budget"

@@ -407,6 +407,17 @@ def test_quasi_newton_stops_on_non_finite_gradient():
     assert tuple(x) == (0.0, 0.0) and trace.final_value == 0.0
 
 
+def test_quasi_newton_stops_when_steps_stop_lowering_f():
+    # schaffer-n1's relaxation never gives a small gradient: from (8, 2)
+    # the descent used to creep on for 7,144 evaluations until its line
+    # searches failed. The relative-reduction test ends it after 4 steps.
+    p = get_problem("schaffer-n1")
+    x, trace = QuasiNewton().minimize(p.func, np.array([8.0, 2.0]), p.box)
+    assert trace.termination == "converged"
+    assert trace.n_evaluations < 100
+    assert trace.final_value < trace.start_value
+
+
 def test_quasi_newton_values_never_increase():
     iterates = accepted_iterates(
         QuasiNewton(), booth, np.array([10.0, -10.0]), box2(-10, 10), 12
@@ -423,6 +434,8 @@ def reference_quasi_newton(qn, fn, x0, box):
 
     Each backtrack evaluates ``box.clamp(x + t * d)`` and gives up when
     that point does not move; the curvature test uses ``np.linalg.norm``.
+    An accepted step that lowers f by at most ``ftol`` relative to
+    ``max(|f_old|, |f_new|, 1)`` ends the run ``"converged"``.
     """
     x = box.clamp(np.asarray(x0, dtype=float))
     fx = start = float(fn(x))
@@ -471,11 +484,15 @@ def reference_quasi_newton(qn, fn, x0, box):
             nev += 1
             if v <= fx + qn.armijo_c1 * float(g @ move):
                 prev_s, prev_g = move, g
+                reduction, scale = fx - v, max(abs(fx), abs(v), 1.0)
                 x, fx = y, v
                 steps += 1
                 accepted = True
                 break
             t *= qn.backtrack_factor
+        if accepted and reduction <= qn.ftol * scale:
+            termination = "converged"
+            break
         if accepted:
             line_failures = 0
         else:
@@ -580,11 +597,20 @@ def test_string_count_is_rejected_when_the_minimizer_is_built():
         (QuasiNewton, "grad_tol", float("nan")),
         (QuasiNewton, "max_backtracks", 2.5),
         (QuasiNewton, "max_line_failures", False),
+        (QuasiNewton, "ftol", float("nan")),
+        (QuasiNewton, "ftol", float("inf")),
+        (QuasiNewton, "ftol", "x"),
+        (QuasiNewton, "ftol", True),
     ],
 )
 def test_malformed_option_values_name_minimizer_and_option(cls, option, value):
     with pytest.raises(ParameterError, match=f"option {option} must be"):
         cls(**{option: value})
+
+
+def test_negative_ftol_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="bad quasi-newton options"):
+        make_minimizer("quasi-newton", {"ftol": -1})
 
 
 def test_integer_and_numpy_option_values_are_accepted():
