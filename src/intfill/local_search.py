@@ -31,6 +31,9 @@ from .core import (
 
 Objective = Callable[[np.ndarray], float]
 
+# L-BFGS-B's relative-reduction tolerance: factr = 1e7 times machine epsilon.
+_FTOL = 2.220446049250313e-09
+
 
 @dataclasses.dataclass
 class SearchTrace:
@@ -162,9 +165,9 @@ class QuasiNewton:
     when curvature is positive, and reset whenever the model direction
     fails to descend. A run ends ``"converged"`` when one of two tests
     passes, as in L-BFGS-B: the projected gradient is at most
-    ``grad_tol`` in every coordinate, or an accepted step lowers f by at
-    most ``ftol * max(|f_old|, |f_new|, 1)`` (relative reduction; the
-    default ``ftol`` is L-BFGS-B's ``factr = 1e7`` times machine epsilon).
+    ``grad_tol`` in every coordinate, or an accepted step between finite
+    values lowers f by at most ``_FTOL * max(|f_old|, |f_new|, 1)``
+    (relative reduction, L-BFGS-B's ``factr = 1e7`` test).
     It ends ``"non_finite"`` at a gradient that is not finite,
     ``"line_search_failure"`` after ``max_line_failures`` consecutive
     failed line searches, and ``"budget"`` at the iteration cap.
@@ -177,11 +180,10 @@ class QuasiNewton:
     backtrack_factor: float = 0.5
     max_backtracks: int = 50
     max_line_failures: int = 5
-    ftol: float = 2.220446049250313e-09
 
     def __post_init__(self) -> None:
         _check_option_types(self, "quasi-newton")
-        if self.grad_step <= 0 or self.grad_tol <= 0 or self.ftol < 0:
+        if self.grad_step <= 0 or self.grad_tol <= 0:
             raise ParameterError(f"bad quasi-newton options: {self}")
         if not (0 < self.backtrack_factor < 1) or not (0 < self.armijo_c1 < 1):
             raise ParameterError(f"bad quasi-newton options: {self}")
@@ -266,7 +268,11 @@ class QuasiNewton:
                 nev += 1
                 if v <= fx + self.armijo_c1 * float(g @ move):
                     prev_s, prev_g = move, g
-                    stalled = fx - v <= self.ftol * max(abs(fx), abs(v), 1.0)
+                    stalled = (
+                        math.isfinite(fx)
+                        and math.isfinite(v)
+                        and fx - v <= _FTOL * max(abs(fx), abs(v), 1.0)
+                    )
                     x, fx = y, v
                     steps += 1
                     line_failures = 0

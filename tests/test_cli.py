@@ -260,22 +260,6 @@ def test_main_matrix_records_untyped_row_errors(tmp_path, capsys, jobs):
     assert records[5]["error"] == "objective_minimizer_options must be an object, got 5"
 
 
-def test_main_matrix_records_a_negative_ftol(tmp_path, capsys):
-    negative_ftol = {"objective_minimizer_options": {"ftol": -1}}
-    config = {
-        "runs": [{"problem": "booth", "config": negative_ftol}, {"problem": "booth"}],
-    }
-    cfg_path = tmp_path / "runs.json"
-    cfg_path.write_text(json.dumps(config))
-    assert main(["matrix", str(cfg_path), "--output-dir", str(tmp_path),
-                 "--name", "ftol"]) == 0
-    assert "hit rate: 1/2 (1 errors)" in capsys.readouterr().out
-    records = read_records_csv(tmp_path / "ftol.csv")
-    assert "bad quasi-newton options" in records[0]["error"]
-    assert "ftol=-1" in records[0]["error"]
-    assert records[1]["error"] is None and records[1]["hit"] is True
-
-
 def test_main_matrix_deterministic_tables(tmp_path):
     config = {"runs": [{"problem": "booth"}, {"problem": "three-hump-camel"}]}
     cfg_path = tmp_path / "runs.json"
