@@ -24,6 +24,7 @@ lattice point it is not computed at all.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -80,9 +81,11 @@ def lattice_penalty(x: np.ndarray) -> float:
     Evaluating ``sin(pi * (x - nearest integer))`` instead of
     ``sin(pi * x)`` gives the same value (the square kills the sign) but
     returns exact 0.0 on lattice points instead of float dust like
-    ``sin(pi * 3) ~ 4e-16``.
+    ``sin(pi * 3) ~ 4e-16``. A NaN or +-inf coordinate gives NaN.
     """
     arr = as_real_point(x)
+    if any(map(math.isinf, arr.tolist())):
+        return math.nan  # what inf - rint(inf) gives, without its warning
     frac = arr - np.rint(arr)
     np.multiply(frac, np.pi, out=frac)
     np.sin(frac, out=frac)

@@ -8,15 +8,21 @@ best discrete local minimizer of the current pass):
 2. from each unit neighbor of the anchor, cheapest first, minimize an
    augmented filled function built for that pass at the margin ``r_max``;
    round the endpoint and take the best objective value over its
-   neighborhood. Any strict improvement restarts phase 1 from the
-   improving point. Otherwise the neighbor gets another pass, with a new
-   filled function at the margin ``FilledParams.next_margin`` gives,
-   until it gives none or the endpoint lands on a box vertex.
+   neighborhood. A compass escape walk therefore stops at its first step
+   below one lattice unit (``step_tol = 0.75`` unless
+   ``filled_minimizer_options`` sets one): a finer poll moves the
+   endpoint by less than one unit, and the rounding and the neighborhood
+   argmin that follow look one unit around it anyway. Each escape event
+   records how the walk ended and how many points it evaluated. Any
+   strict improvement restarts phase 1 from the improving point.
+   Otherwise the neighbor gets another pass, with a new filled function
+   at the margin ``FilledParams.next_margin`` gives, until it gives none
+   or the endpoint lands on a box vertex.
 
 The outer loop runs the inner search ``max_outer_iterations`` times,
 and every round starts from the incumbent: the best anchor found so
 far once it beats the start point's value, else the start. Round 1
-escapes with the configured filled minimizer as given. A later round
+escapes with the configured filled minimizer and options. A later round
 descends back to an anchor an earlier round already escaped from, so
 when the filled minimizer is ``"compass"``, round ``k`` multiplies the
 compass step by ``k`` on each successful poll: the walk then jumps along
@@ -198,7 +204,7 @@ def _escape(
         while r is not None:
             filled = InverseSquareFilled(obj, x_star, f_star, r)
             target = AugmentedFilled(filled)
-            x_esc, _ = escape.minimize(target, candidate, box)
+            x_esc, walk = escape.minimize(target, candidate, box)
             check = rounding_error_check(anchor_filled, filled.raw(x_esc), x_esc)
             rec.bound_checks.append(check)
             x_landed = box.clamp(round_point(x_esc))
@@ -211,6 +217,8 @@ def _escape(
                 outer=outer,
                 candidate=point_key(candidate),
                 r=r,
+                escape_termination=walk.termination,
+                escape_evaluations=walk.n_evaluations,
                 landed=point_key(x_landed),
                 point=point_key(x_prime),
                 value=f_prime,
@@ -234,12 +242,17 @@ def _generic(
     pending_dc2: float | None = None
     descent = make_minimizer(cfg.objective_minimizer, cfg.objective_minimizer_options)
     escape_options = cfg.filled_minimizer_options
-    if outer > 1 and cfg.filled_minimizer == "compass":
-        # An earlier round may already have walked from this anchor's
-        # neighbors, and a replay cannot land anywhere new. A step that
-        # grows by a different integer factor in each round polls other
-        # lattice points, far off the axis lines of round 1's walk.
-        escape_options = {**escape_options, "expand": float(outer)}
+    if cfg.filled_minimizer == "compass":
+        # The endpoint is rounded and its neighborhood argmin'd, so the walk
+        # ends at its first step below one lattice unit unless the config
+        # sets step_tol.
+        escape_options = {"step_tol": 0.75, **escape_options}
+        if outer > 1:
+            # An earlier round may already have walked from this anchor's
+            # neighbors, and a replay cannot land anywhere new. A step that
+            # grows by a different integer factor in each round polls other
+            # lattice points, far off the axis lines of round 1's walk.
+            escape_options["expand"] = float(outer)
     escape = make_minimizer(cfg.filled_minimizer, escape_options)
     while True:
         # Phase 1: continuous descent of f, rounding, lattice descent.

@@ -118,6 +118,15 @@ def test_lattice_penalty_exact_zero_on_integers():
         assert lattice_penalty(np.array(pt, dtype=float)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "point", [[np.inf, 0.5], [1.0, -np.inf], [np.inf, -np.inf], [np.nan, 0.5]]
+)
+def test_lattice_penalty_is_nan_without_a_warning_off_the_reals(point):
+    # The suite turns a RuntimeWarning into an error, so this also checks
+    # that inf - rint(inf) is never computed.
+    assert np.isnan(lattice_penalty(np.array(point)))
+
+
 def test_lattice_penalty_half_offsets():
     assert lattice_penalty(np.array([0.5])) == 1.0
     assert lattice_penalty(np.array([2.5, -3.5])) == 2.0
@@ -298,8 +307,7 @@ def test_augmented_skips_the_penalty_only_where_every_coordinate_is_integral(
     monkeypatch.setattr(intfill.filled, "lattice_penalty", counted)
     obj = make_objective(lambda x: 1.0)
     wrapped = AugmentedFilled(InverseSquareFilled(obj, np.array([0, 0]), 0.0, 1.0))
-    with np.errstate(invalid="ignore"):  # the penalty at +-inf is inf - inf
-        wrapped(np.array(point))
+    wrapped(np.array(point))
     assert len(calls) == penalties
 
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import intfill.filled
 from intfill.benchmarks import get_problem
 from intfill.core import (
     BoxDomain,
@@ -15,6 +16,7 @@ from intfill.core import (
     ParameterError,
     is_discrete_local_min,
 )
+from intfill.filled import lattice_penalty
 from intfill.local_search import MINIMIZERS, CompassSearch
 from intfill.solver import (
     SolverConfig,
@@ -127,7 +129,7 @@ def test_no_restart_pick_after_the_last_round():
     # Round 2 does not improve on round 1 and ends the run; nothing is
     # evaluated after its result.
     rep = solve_problem(get_problem("booth"), cfg=SolverConfig(max_outer_iterations=2))
-    assert rep.columns() == (0.0, 746, 648)
+    assert rep.columns() == (0.0, 434, 336)
     assert rep.termination == "max_iterations"
     assert rep.events[-1]["kind"] == "outer_result"
 
@@ -137,7 +139,7 @@ def test_every_round_starts_from_the_incumbent():
     # on it, and each starts there again instead of at a neighbor of its
     # predecessor's result.
     rep = solve_problem(get_problem("booth"))
-    assert rep.columns() == (0.0, 1044, 920)
+    assert rep.columns() == (0.0, 572, 448)
     assert rep.termination == "max_iterations"
     assert {e["kind"] for e in rep.events} <= EVENT_KINDS
     later = [e for e in rep.events if e["kind"] == "anchor" and e["outer"] > 1]
@@ -198,7 +200,7 @@ def test_an_escape_from_a_nan_anchor_improves():
     rounds = [e["improved"] for e in rep.events if e["kind"] == "outer_result"]
     assert rounds == [True, False, False]
     assert "finalize_descent" not in {e["kind"] for e in rep.events}
-    assert rep.x_best == (0, 0) and rep.n_fu == 1222
+    assert rep.x_best == (0, 0) and rep.n_fu == 674
 
 
 def test_start_at_the_minimum_reports_its_anchor_without_a_polish():
@@ -206,7 +208,7 @@ def test_start_at_the_minimum_reports_its_anchor_without_a_polish():
     # is: no point the solve saw beats it, so nothing is polished.
     rep = solve_problem(get_problem("booth"), x0=(1, 3))
     assert rep.x_best == (1, 3)
-    assert rep.columns() == (0.0, 999, 920)
+    assert rep.columns() == (0.0, 527, 448)
     assert rep.termination == "max_iterations"
     assert "finalize_descent" not in {e["kind"] for e in rep.events}
 
@@ -331,6 +333,22 @@ def test_event_stream_shape():
     assert rep.n_fill >= counters[-1][1]
 
 
+def test_escape_events_say_how_the_walk_ended():
+    rep = solve_problem(get_problem("booth"))
+    events = rep.events
+    escapes = [ev for ev in events if ev["kind"] == "escape"]
+    # Every default compass walk stops at its first step below one unit.
+    assert escapes and all(ev["escape_termination"] == "converged" for ev in escapes)
+    # Between two escapes of one phase 2, n_fill counts the walk's own
+    # evaluations plus the bound check at its endpoint.
+    pairs = [
+        (a, b) for a, b in zip(events, events[1:]) if a["kind"] == b["kind"] == "escape"
+    ]
+    assert pairs
+    for a, b in pairs:
+        assert b["n_fill"] - a["n_fill"] == b["escape_evaluations"] + 1
+
+
 def test_outer_results_never_worsen_the_incumbent():
     rep = solve_problem(get_problem("rastrigin", 2), x0=(-5, 5))
     best = np.inf
@@ -378,10 +396,11 @@ def _hexed(v):
     return v
 
 
-def report_digest(rep: SolveReport) -> str:
-    """Digest of everything a solve reports except its wall time."""
+def report_digest(rep: SolveReport, drop: tuple[str, ...] = ()) -> str:
+    """Digest of everything a solve reports except its wall time, and
+    except the event fields named in ``drop``."""
     body = [
-        rep.events,
+        [{k: v for k, v in e.items() if k not in drop} for e in rep.events],
         rep.bound_checks,
         rep.d1_checks,
         rep.dc2_checks,
@@ -391,17 +410,39 @@ def report_digest(rep: SolveReport) -> str:
 
 
 @pytest.mark.parametrize("name,start,options,digest", [
-    ("booth", (0, 0), {}, "0e65f23b4406157c"),
-    ("leon", (10, 10), {}, "e69bac83d1c2b3ea"),
-    ("three-hump-camel", (2, 2), {}, "c08a1671a3219913"),
-    ("booth", (0, 0), {"max_evaluations": 200}, "dc1a1efbdc94c025"),
-    ("booth", (0, 0), {"filled_minimizer": "quasi-newton"}, "89c13e51181ffaf8"),
+    ("booth", (0, 0), {}, "25e713dc05ac2eba"),
+    ("leon", (10, 10), {}, "4ec3f2984355df33"),
+    ("three-hump-camel", (2, 2), {}, "1b433922dd7a3414"),
+    ("booth", (0, 0), {"max_evaluations": 200}, "d3e5cdf5533ea756"),
+    ("booth", (0, 0), {"filled_minimizer": "quasi-newton"}, "a68fd691d9c6d1c5"),
 ])
 def test_solve_output_is_pinned_bit_for_bit(name, start, options, digest):
     # A refactor of the solver that keeps the order of evaluations keeps
     # every event, check record and column, and so these digests.
     rep = solve_problem(get_problem(name), x0=start, cfg=SolverConfig(**options))
     assert report_digest(rep) == digest
+
+
+WALK_FIELDS = ("escape_termination", "escape_evaluations")
+FINE_WALK = {"filled_minimizer_options": {"step_tol": 1e-6}}
+
+
+@pytest.mark.parametrize("name,start,options,digest", [
+    ("booth", (0, 0), FINE_WALK, "0e65f23b4406157c"),
+    ("leon", (10, 10), FINE_WALK, "e69bac83d1c2b3ea"),
+    ("three-hump-camel", (2, 2), FINE_WALK, "c08a1671a3219913"),
+    ("booth", (0, 0), {"max_evaluations": 200, **FINE_WALK}, "dc1a1efbdc94c025"),
+    ("booth", (0, 0), {"filled_minimizer": "quasi-newton"}, "89c13e51181ffaf8"),
+])
+def test_a_walk_to_step_tol_1e_6_replays_the_sub_unit_escapes(
+    name, start, options, digest
+):
+    # The digests of the solver whose compass escape refined its endpoint
+    # down to a step of 1e-6, before escape events recorded how each walk
+    # ended. That walk is still reachable through the config, and the
+    # quasi-newton escape, which takes no step_tol, is unchanged.
+    rep = solve_problem(get_problem(name), x0=start, cfg=SolverConfig(**options))
+    assert report_digest(rep, drop=WALK_FIELDS) == digest
 
 
 # ---------------------------------------------------------------- budgets
@@ -497,6 +538,37 @@ def test_compass_descent_solves_booth():
     rep = solve_problem(get_problem("booth"), cfg=cfg)
     assert rep.x_best == (1, 3) and rep.f_best == 0.0
     assert rep.outer_iterations == 3
+
+
+@pytest.mark.parametrize("name", ["booth", "leon", "three-hump-camel", "rastrigin"])
+def test_default_round_1_escapes_stay_on_the_lattice(monkeypatch, name):
+    # Round 1 walks unit steps and each walk ends at its first step below
+    # one unit: every point the filled function sees is integral, so the
+    # lattice penalty never runs. With the walk refined to a step of 1e-6
+    # it does. (Round 2 doubles the step, which stays integral only until
+    # it reaches the box-width cap: booth's 16 becomes 20, then 10, 5, 2.5.)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return lattice_penalty(x)
+
+    monkeypatch.setattr(intfill.filled, "lattice_penalty", counted)
+    problem = get_problem(name)
+    solve_problem(problem, cfg=SolverConfig(max_outer_iterations=1))
+    assert calls == []
+    solve_problem(problem, cfg=SolverConfig(max_outer_iterations=1, **FINE_WALK))
+    assert calls
+
+
+def test_schaffer_n1_from_51_91_does_not_cycle_between_two_anchors():
+    # The walk that refined each endpoint below one unit took this solve
+    # into a cycle between the anchors (-6, -8) and (-8, -6), equal by
+    # symmetry, that only the 10 M evaluation budget ended.
+    rep = solve_problem(get_problem("schaffer-n1"), x0=(51, 91))
+    assert rep.termination == "max_iterations"
+    assert rep.x_best == (0, 0) and rep.f_best == 0.0
+    assert rep.n_fu + rep.n_fill == 19_287
 
 
 def test_filled_minimizer_is_built_once_per_inner_search():
