@@ -26,7 +26,7 @@ Config file schema (JSON)::
 
 ``filled_params`` inside a config block may be given as an object with
 ``r_max``/``r_min``/``shrink_factor`` keys. Unknown keys are rejected.
-Record columns are problem, n, x0, ff, f_g, n_fu, n_fill, wall_time,
+Record columns are problem, n, x0, f_g, n_fu, n_fill, wall_time,
 termination, known_value, hit, error. Emitted floats use ``repr`` so
 parsing a table reproduces the in-memory values exactly.
 
@@ -56,14 +56,13 @@ from .benchmarks import (
     registry,
 )
 from .core import DomainError, ParameterError
-from .filled import FilledParams, InverseSquareFilled
+from .filled import FilledParams
 from .solver import SolverConfig, solve_problem
 
 RECORD_FIELDS = (
     "problem",
     "n",
     "x0",
-    "ff",
     "f_g",
     "n_fu",
     "n_fill",
@@ -122,7 +121,6 @@ def execute_run(spec: dict[str, Any], defaults: dict[str, Any]) -> dict[str, Any
         record.update(
             n=problem.dimension,
             x0=list(start),
-            ff=InverseSquareFilled.name,
             f_g=report.f_best,
             n_fu=report.n_fu,
             n_fill=report.n_fill,

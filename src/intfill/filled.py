@@ -155,8 +155,6 @@ class InverseSquareFilled:
     (envelope 2, gate 1) and is exposed without charging anything.
     """
 
-    name = "inverse-square"
-
     def __init__(
         self,
         objective: ObjectiveFunction,

@@ -33,6 +33,18 @@ Objective = Callable[[np.ndarray], float]
 
 # L-BFGS-B's relative-reduction tolerance: factr = 1e7 times machine epsilon.
 _FTOL = 2.220446049250313e-09
+# Fixed QuasiNewton settings: central-difference step relative to
+# max(1, |x_i|), projected-gradient tolerance, Armijo constant, backtracking
+# factor and count, and the failed line searches in a row that end a run.
+_GRAD_STEP = 1e-6
+_GRAD_TOL = 1e-6
+_ARMIJO_C1 = 1e-4
+_BACKTRACK_FACTOR = 0.5
+_MAX_BACKTRACKS = 50
+_MAX_LINE_FAILURES = 5
+# Fixed CompassSearch settings: the first step length and each shrink's factor.
+_INITIAL_STEP = 1.0
+_SHRINK = 0.5
 
 
 @dataclasses.dataclass
@@ -76,36 +88,32 @@ def _projected_step(xs: list, t: float, ds: list, lo: list, hi: list) -> list:
 class CompassSearch:
     """Pattern search polling the 2n axis directions.
 
-    Each round evaluates every axis poll at the current step length and
-    moves to the best strictly improving one; if none improves, the step
-    shrinks. A successful round multiplies the step by ``expand``, capped
-    at the widest extent of the box; the default 1 keeps the step fixed,
-    and an integer factor from an integer step keeps every poll of a
-    lattice start on the lattice until the first shrink. The iterate,
-    each point passed to ``fn`` and the returned point are ``float64``.
-    A poll at a point the call already evaluated, such as one that
-    projects back onto the current point at a face of the box, is
-    skipped: each distinct point reaches ``fn`` at most once.
+    Each round evaluates every axis poll at the current step length,
+    first ``_INITIAL_STEP``, and moves to the best strictly improving
+    one; if none improves, the step shrinks by ``_SHRINK``. A successful
+    round multiplies the step by ``expand``, capped at the widest extent
+    of the box; the default 1 keeps the step fixed, and an integer factor
+    keeps every poll of a lattice start on the lattice until the first
+    shrink. The iterate, each point passed to ``fn`` and the returned
+    point are ``float64``. A poll at a point the call already evaluated,
+    such as one that projects back onto the current point at a face of
+    the box, is skipped: each distinct point reaches ``fn`` at most once.
     """
 
-    initial_step: float = 1.0
-    shrink: float = 0.5
     expand: float = 1.0
     step_tol: float = 1e-6
     max_iterations: int = 10_000
 
     def __post_init__(self) -> None:
         _check_option_types(self, "compass")
-        if self.initial_step <= 0 or not (0 < self.shrink < 1) or self.step_tol <= 0:
-            raise ParameterError(f"bad compass options: {self}")
-        if self.expand < 1:
+        if self.step_tol <= 0 or self.expand < 1:
             raise ParameterError(f"bad compass options: {self}")
 
     def minimize(
         self, fn: Objective, x0: np.ndarray, box: BoxDomain
     ) -> tuple[np.ndarray, SearchTrace]:
         x = box.clamp(as_real_point(x0))
-        step = float(self.initial_step)
+        step = _INITIAL_STEP
         lo = box.lower.astype(float).tolist()
         hi = box.upper.astype(float).tolist()
         fx = start_value = float(fn(x))
@@ -144,7 +152,7 @@ class CompassSearch:
                     if v < best_val:
                         best, best_val = y, v
             if best is None:
-                step *= self.shrink
+                step *= _SHRINK
             else:
                 x = base = best
                 fx, xs = best_val, x.tolist()
@@ -159,34 +167,24 @@ class QuasiNewton:
     """BFGS with projected iterates and finite-difference gradients.
 
     Gradients use central differences with per-coordinate step
-    ``grad_step * max(1, |x_i|)``; probe points are clamped to the box
+    ``_GRAD_STEP * max(1, |x_i|)``; probe points are clamped to the box
     and the actual probe spread divides the difference. The inverse
     Hessian is rescaled once after the first accepted step, updated only
     when curvature is positive, and reset whenever the model direction
     fails to descend. A run ends ``"converged"`` when one of two tests
     passes, as in L-BFGS-B: the projected gradient is at most
-    ``grad_tol`` in every coordinate, or an accepted step between finite
+    ``_GRAD_TOL`` in every coordinate, or an accepted step between finite
     values lowers f by at most ``_FTOL * max(|f_old|, |f_new|, 1)``
     (relative reduction, L-BFGS-B's ``factr = 1e7`` test).
     It ends ``"non_finite"`` at a gradient that is not finite,
-    ``"line_search_failure"`` after ``max_line_failures`` consecutive
+    ``"line_search_failure"`` after ``_MAX_LINE_FAILURES`` consecutive
     failed line searches, and ``"budget"`` at the iteration cap.
     """
 
-    grad_step: float = 1e-6
-    grad_tol: float = 1e-6
     max_iterations: int = 10_000
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 50
-    max_line_failures: int = 5
 
     def __post_init__(self) -> None:
         _check_option_types(self, "quasi-newton")
-        if self.grad_step <= 0 or self.grad_tol <= 0:
-            raise ParameterError(f"bad quasi-newton options: {self}")
-        if not (0 < self.backtrack_factor < 1) or not (0 < self.armijo_c1 < 1):
-            raise ParameterError(f"bad quasi-newton options: {self}")
 
     def _gradient(
         self, fn: Objective, x: np.ndarray, lo: list[float], hi: list[float]
@@ -194,7 +192,7 @@ class QuasiNewton:
         g = np.zeros(x.shape[0])
         nev = 0
         for i, xi in enumerate(x.tolist()):
-            h = self.grad_step * max(1.0, abs(xi))
+            h = _GRAD_STEP * max(1.0, abs(xi))
             up = min(xi + h, hi[i])
             dn = max(xi - h, lo[i])
             spread = up - dn
@@ -247,7 +245,7 @@ class QuasiNewton:
                         prev_s, prev_s
                     )
                 prev_g = prev_s = None
-            if max(map(abs, gs)) <= self.grad_tol:
+            if max(map(abs, gs)) <= _GRAD_TOL:
                 termination = "converged"
                 break
             d = -hess_inv @ g
@@ -258,7 +256,7 @@ class QuasiNewton:
             t = 1.0
             line_failures += 1  # until a step is accepted
             xs, ds = x.tolist(), d.tolist()
-            for _ in range(self.max_backtracks):
+            for _ in range(_MAX_BACKTRACKS):
                 ys = _projected_step(xs, t, ds, lo, hi)
                 if ys == xs:
                     break
@@ -266,7 +264,7 @@ class QuasiNewton:
                 move = y - x
                 v = float(fn(y))
                 nev += 1
-                if v <= fx + self.armijo_c1 * float(g @ move):
+                if v <= fx + _ARMIJO_C1 * float(g @ move):
                     prev_s, prev_g = move, g
                     stalled = (
                         math.isfinite(fx)
@@ -277,14 +275,14 @@ class QuasiNewton:
                     steps += 1
                     line_failures = 0
                     break
-                t *= self.backtrack_factor
+                t *= _BACKTRACK_FACTOR
             if stalled:
                 termination = "converged"
                 break
             if line_failures:
                 hess_inv = ident.copy()
                 scaled = False
-                if line_failures >= self.max_line_failures:
+                if line_failures >= _MAX_LINE_FAILURES:
                     termination = "line_search_failure"
                     break
         return x, SearchTrace(start_value, fx, steps, termination, nev)

@@ -21,13 +21,14 @@ best discrete local minimizer of the current pass):
 
 The outer loop runs the inner search ``max_outer_iterations`` times,
 and every round starts from the incumbent: the best anchor found so
-far once it beats the start point's value, else the start. Round 1
-escapes with the configured filled minimizer and options. A later round
-descends back to an anchor an earlier round already escaped from, so
-when the filled minimizer is ``"compass"``, round ``k`` multiplies the
-compass step by ``k`` on each successful poll: the walk then jumps along
-the lattice and polls points far off its axis lines, where round 1's
-unit-step walk never looked, and no two rounds replay the same walk.
+far once it beats the start point's value, else the start. The solver
+alone sets a compass escape's ``expand``, to the round number, and
+``filled_minimizer_options`` that set it are a ``ParameterError``. A
+later round descends back to an anchor an earlier round already escaped
+from, so round ``k`` multiplies the compass step by ``k`` on each
+successful poll: the walk then jumps along the lattice and polls points
+far off its axis lines, where round 1's unit-step walk never looked, and
+no two rounds replay the same walk.
 Each inner search builds its two minimizers once and reuses them for
 every descent and escape pass, so ``minimize`` must not depend on state
 left by an earlier call.
@@ -104,6 +105,9 @@ class SolverConfig:
         for name in ("objective_minimizer_options", "filled_minimizer_options"):
             if not isinstance(value := getattr(self, name), dict):
                 raise ParameterError(f"{name} must be an object, got {value!r}")
+        compass = self.filled_minimizer == "compass"
+        if compass and "expand" in self.filled_minimizer_options:
+            raise ParameterError("filled_minimizer_options may not set expand")
 
 
 @dataclasses.dataclass
@@ -245,14 +249,12 @@ def _generic(
     if cfg.filled_minimizer == "compass":
         # The endpoint is rounded and its neighborhood argmin'd, so the walk
         # ends at its first step below one lattice unit unless the config
-        # sets step_tol.
-        escape_options = {"step_tol": 0.75, **escape_options}
-        if outer > 1:
-            # An earlier round may already have walked from this anchor's
-            # neighbors, and a replay cannot land anywhere new. A step that
-            # grows by a different integer factor in each round polls other
-            # lattice points, far off the axis lines of round 1's walk.
-            escape_options["expand"] = float(outer)
+        # sets step_tol. Round 1 keeps the step fixed. A later round may
+        # find an anchor an earlier one walked from, and a replay cannot
+        # land anywhere new: a step that grows by a different integer
+        # factor in each round polls other lattice points, far off the
+        # axis lines of round 1's walk.
+        escape_options = {"step_tol": 0.75, **escape_options, "expand": float(outer)}
     escape = make_minimizer(cfg.filled_minimizer, escape_options)
     while True:
         # Phase 1: continuous descent of f, rounding, lattice descent.

@@ -79,7 +79,6 @@ def test_execute_run_booth_record():
     assert rec["problem"] == "booth"
     assert rec["n"] == 2
     assert rec["x0"] == [0, 0]
-    assert rec["ff"] == "inverse-square"
     assert rec["f_g"] == 0.0
     assert rec["hit"] is True
     assert rec["termination"] == "max_iterations"
@@ -112,6 +111,12 @@ def test_execute_run_error_is_captured_not_raised():
     assert "unknown run keys" in rec["error"]
     rec = execute_run({"problem": "booth", "filled_function": "nope"}, {})
     assert "unknown run keys" in rec["error"]
+
+
+def test_execute_run_without_a_problem_is_an_error():
+    rec = execute_run({"start": [0, 0]}, {})
+    assert rec["error"] == "run spec needs a 'problem' name"
+    assert rec["problem"] is None and rec["f_g"] is None
 
 
 def test_execute_run_names_a_start_outside_int64():
@@ -226,6 +231,23 @@ def test_main_matrix_from_config(tmp_path, capsys):
     assert (tmp_path / "demo.json").exists()
 
 
+def test_main_matrix_output_dir_falls_back_to_the_environment(
+    tmp_path, monkeypatch, capsys
+):
+    cfg_path = tmp_path / "runs.json"
+    cfg_path.write_text(json.dumps({"runs": [{"problem": "booth"}]}))
+    monkeypatch.chdir(tmp_path)  # the last fallback, which must stay unused
+    monkeypatch.setenv("INTFILL_OUTPUT_DIR", str(tmp_path / "env"))
+    assert main(["matrix", str(cfg_path), "--name", "t"]) == 0
+    assert (tmp_path / "env" / "t.csv").exists()
+    assert (tmp_path / "env" / "t.json").exists()
+    # --output-dir wins over the environment.
+    assert main(["matrix", str(cfg_path), "--name", "t", "--output-dir", "flag"]) == 0
+    assert (tmp_path / "flag" / "t.csv").exists()
+    assert not (tmp_path / "t.csv").exists()
+    assert "hit rate: 1/1 (0 errors)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_main_matrix_records_untyped_row_errors(tmp_path, capsys, jobs):
     # Bad minimizer options, option fields and run entries that are not
@@ -233,7 +255,7 @@ def test_main_matrix_records_untyped_row_errors(tmp_path, capsys, jobs):
     # raises TypeError inside the run. Each row records its error and the
     # batch goes on.
     filled_options = {"filled_minimizer_options": {"foo": 1}}
-    objective_options = {"objective_minimizer_options": {"grad_step": "x"}}
+    objective_options = {"objective_minimizer_options": {"max_iterations": "x"}}
     config = {
         "runs": [
             {"problem": "booth", "config": filled_options},
@@ -253,7 +275,7 @@ def test_main_matrix_records_untyped_row_errors(tmp_path, capsys, jobs):
     assert "None: error: run spec must be an object, got 5" in out
     records = read_records_csv(tmp_path / "bad.csv")
     assert "unknown compass options ['foo']" in records[0]["error"]
-    assert "quasi-newton option grad_step" in records[1]["error"]
+    assert "quasi-newton option max_iterations" in records[1]["error"]
     assert records[2]["error"] == "TypeError: 'int' object is not iterable"
     assert records[3]["error"] is None and records[3]["hit"] is True
     assert records[4]["error"] == "run spec must be an object, got 5"

@@ -4,6 +4,8 @@ import io
 import pathlib
 import re
 
+from intfill.cli import RECORD_FIELDS
+
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -34,3 +36,8 @@ def test_library_usage_examples_print_their_commented_results():
                 assert shown == expected, line
                 checked.append(expected)
     assert checked == ["(1, 3) 0.0", "(3,)"]
+
+
+def test_matrix_field_list_is_the_record_fields():
+    listed = re.search(r"\(fields:\s*`([^`]*)`\)", README.read_text()).group(1)
+    assert tuple(re.split(r",\s*", listed)) == RECORD_FIELDS

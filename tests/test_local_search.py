@@ -15,7 +15,14 @@ from intfill.core import (
 )
 from intfill.filled import AugmentedFilled, InverseSquareFilled
 from intfill.local_search import (
+    _ARMIJO_C1,
+    _BACKTRACK_FACTOR,
     _FTOL,
+    _GRAD_TOL,
+    _INITIAL_STEP,
+    _MAX_BACKTRACKS,
+    _MAX_LINE_FAILURES,
+    _SHRINK,
     MINIMIZERS,
     CompassSearch,
     QuasiNewton,
@@ -121,9 +128,7 @@ def test_compass_skips_projected_identity_polls():
 
 def test_compass_option_validation():
     with pytest.raises(ParameterError):
-        CompassSearch(initial_step=0.0)
-    with pytest.raises(ParameterError):
-        CompassSearch(shrink=1.0)
+        CompassSearch(step_tol=0.0)
     with pytest.raises(ParameterError):
         CompassSearch(expand=0.5)
 
@@ -194,7 +199,7 @@ def reference_compass(compass, fn, x0, box):
     x = np.clip(np.asarray(x0, dtype=float), box.lower, box.upper)
     fx = start = float(fn(x))
     nev, steps = 1, 0
-    step = compass.initial_step
+    step = _INITIAL_STEP
     widest = float(max(int(u) - int(l) for l, u in zip(box.lower, box.upper)))
     dirs = [d.astype(float) for d in axis_directions(box.dimension)]
     termination = "budget"
@@ -212,7 +217,7 @@ def reference_compass(compass, fn, x0, box):
             if v < best_val:
                 best, best_val = y, v
         if best is None:
-            step *= compass.shrink
+            step *= _SHRINK
         else:
             x, fx = best, best_val
             steps += 1
@@ -312,10 +317,8 @@ def reference_starts(box):
 def test_compass_matches_reference_trajectory(box_name, fn_name):
     box = REFERENCE_BOXES[box_name]
     for start_name, x0 in reference_starts(box).items():
-        for step, expand, cap in itertools.product((1, 0.75), (1, 2, 3), (25, 7)):
-            compass = CompassSearch(
-                initial_step=step, expand=expand, step_tol=1e-3, max_iterations=cap
-            )
+        for expand, cap in itertools.product((1, 2, 3), (25, 7)):
+            compass = CompassSearch(expand=expand, step_tol=1e-3, max_iterations=cap)
             runs = []
             for minimize in (reference_compass, CompassSearch.minimize):
                 fn, counter = REFERENCE_FUNCTIONS[fn_name], None
@@ -326,7 +329,7 @@ def test_compass_matches_reference_trajectory(box_name, fn_name):
                 counts = (counter.n_fu, counter.n_fill) if counter else None
                 runs.append((x, trace, calls, counts))
             (x_ref, t_ref, ref_calls, ref_counts), (x, t, calls, counts) = runs
-            case = (start_name, step, expand, cap)
+            case = (start_name, expand, cap)
             firsts = first_occurrences(ref_calls)
             assert [(np.asarray(p, dtype=float).tobytes(), repr(v)) for p, v in calls] == [
                 (p.tobytes(), repr(v)) for p, v in firsts
@@ -480,7 +483,7 @@ def reference_quasi_newton(qn, fn, x0, box):
                 left = ident - rho * np.outer(prev_s, yk)
                 hess_inv = left @ hess_inv @ left.T + rho * np.outer(prev_s, prev_s)
             prev_g = prev_s = None
-        if float(np.max(np.abs(g))) <= qn.grad_tol:
+        if float(np.max(np.abs(g))) <= _GRAD_TOL:
             termination = "converged"
             break
         d = -hess_inv @ g
@@ -490,14 +493,14 @@ def reference_quasi_newton(qn, fn, x0, box):
             d = -g
         t = 1.0
         accepted = False
-        for _ in range(qn.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             y = box.clamp(x + t * d)
             move = y - x
             if not move.any():
                 break
             v = float(fn(y))
             nev += 1
-            if v <= fx + qn.armijo_c1 * float(g @ move):
+            if v <= fx + _ARMIJO_C1 * float(g @ move):
                 prev_s, prev_g = move, g
                 stalled = np.isfinite([fx, v]).all() and (
                     fx - v <= _FTOL * max(abs(fx), abs(v), 1.0)
@@ -506,7 +509,7 @@ def reference_quasi_newton(qn, fn, x0, box):
                 steps += 1
                 accepted = True
                 break
-            t *= qn.backtrack_factor
+            t *= _BACKTRACK_FACTOR
         if accepted and stalled:
             termination = "converged"
             break
@@ -516,7 +519,7 @@ def reference_quasi_newton(qn, fn, x0, box):
             line_failures += 1
             hess_inv = ident.copy()
             scaled = False
-            if line_failures >= qn.max_line_failures:
+            if line_failures >= _MAX_LINE_FAILURES:
                 termination = "line_search_failure"
                 break
     return x, SearchTrace(start, fx, steps, termination, nev)
@@ -574,8 +577,8 @@ def test_projected_step_is_box_clamp_bit_for_bit():
 
 
 def test_make_minimizer_dispatch_and_options():
-    m = make_minimizer("compass", {"initial_step": 2.0})
-    assert isinstance(m, CompassSearch) and m.initial_step == 2.0
+    m = make_minimizer("compass", {"step_tol": 2.0})
+    assert isinstance(m, CompassSearch) and m.step_tol == 2.0
     assert isinstance(make_minimizer("quasi-newton"), QuasiNewton)
     # Option names are cached per class; instances are not.
     assert make_minimizer("compass") is not make_minimizer("compass")
@@ -589,13 +592,15 @@ def test_make_minimizer_rejects_unknown_option_names():
 
 
 def test_non_numeric_grad_step_is_a_parameter_error():
-    with pytest.raises(ParameterError, match="quasi-newton option grad_step"):
+    # The difference step is a fixed constant: any value is an unknown option.
+    message = r"unknown quasi-newton options \['grad_step'\]"
+    with pytest.raises(ParameterError, match=message):
         make_minimizer("quasi-newton", {"grad_step": "x"})
 
 
 def test_non_numeric_compass_step_is_a_parameter_error():
-    with pytest.raises(ParameterError, match="compass option initial_step"):
-        CompassSearch(initial_step="x")
+    with pytest.raises(ParameterError, match="compass option step_tol"):
+        CompassSearch(step_tol="x")
 
 
 def test_string_count_is_rejected_when_the_minimizer_is_built():
@@ -603,26 +608,41 @@ def test_string_count_is_rejected_when_the_minimizer_is_built():
         make_minimizer("quasi-newton", {"max_iterations": "5"})
 
 
+# Settings that were options once and are module constants now.
+FIXED_SETTINGS = {"shrink", "initial_step", "grad_tol", "max_backtracks", "max_line_failures"}
+
+
 @pytest.mark.parametrize(
     "cls,option,value",
     [
         (CompassSearch, "shrink", True),
+        (CompassSearch, "step_tol", True),
         (CompassSearch, "step_tol", float("nan")),
         (CompassSearch, "expand", float("inf")),
+        (CompassSearch, "expand", 10**400),
         (CompassSearch, "max_iterations", 5.0),
         (CompassSearch, "initial_step", 10**400),
         (QuasiNewton, "grad_tol", float("nan")),
         (QuasiNewton, "max_backtracks", 2.5),
         (QuasiNewton, "max_line_failures", False),
+        (QuasiNewton, "max_iterations", float("nan")),
+        (QuasiNewton, "max_iterations", 2.5),
+        (QuasiNewton, "max_iterations", False),
     ],
 )
 def test_malformed_option_values_name_minimizer_and_option(cls, option, value):
-    with pytest.raises(ParameterError, match=f"option {option} must be"):
-        cls(**{option: value})
+    method = next(name for name, c in MINIMIZERS.items() if c is cls)
+    if option in FIXED_SETTINGS:
+        # A fixed constant is no option: any value given for it is malformed.
+        message = rf"unknown {method} options \['{option}'\]"
+    else:
+        message = f"{method} option {option} must be"
+    with pytest.raises(ParameterError, match=message):
+        make_minimizer(method, {option: value})
 
 
 def test_integer_and_numpy_option_values_are_accepted():
-    assert CompassSearch(initial_step=2, expand=np.float64(3.0)).initial_step == 2
+    assert CompassSearch(step_tol=2, expand=np.float64(3.0)).step_tol == 2
     assert QuasiNewton(max_iterations=np.int64(7)).max_iterations == 7
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import intfill.filled
+import intfill.solver
 from intfill.benchmarks import get_problem
 from intfill.core import (
     BoxDomain,
@@ -17,7 +18,7 @@ from intfill.core import (
     is_discrete_local_min,
 )
 from intfill.filled import lattice_penalty
-from intfill.local_search import MINIMIZERS, CompassSearch
+from intfill.local_search import MINIMIZERS, CompassSearch, make_minimizer
 from intfill.solver import (
     SolverConfig,
     SolveReport,
@@ -85,6 +86,18 @@ def test_config_rejects_malformed_counts(field, value):
 def test_config_rejects_minimizer_options_that_are_not_objects(field, value):
     with pytest.raises(ParameterError, match=f"{field} must be an object"):
         SolverConfig(**{field: value})
+
+
+def test_config_rejects_an_expand_for_the_compass_escape():
+    # The solver sets the compass escape's expand to the outer round.
+    options = {"filled_minimizer_options": {"expand": 2.0}}
+    with pytest.raises(ParameterError, match="filled_minimizer_options.*expand"):
+        SolverConfig(**options)
+    # A compass descent keeps its expand option.
+    cfg = SolverConfig(
+        objective_minimizer="compass", objective_minimizer_options={"expand": 2.0}
+    )
+    assert cfg.objective_minimizer_options == {"expand": 2.0}
 
 
 def test_config_accepts_numpy_and_huge_counts():
@@ -485,6 +498,19 @@ def test_budget_of_one_is_survivable():
                                  booth_objective().box)
 
 
+def test_budget_spent_before_the_start_value_still_reports_a_minimizer():
+    # The counter allows no evaluation at all: f(start) is taken with the
+    # limit lifted and polished, and the limit comes back afterwards.
+    counter = EvalCounter(limit=0)
+    box = BoxDomain(np.array([-5, -5]), np.array([5, 5]))
+    obj = ObjectiveFunction(lambda x: float(x @ x), box, counter)
+    rep = solve(obj, np.array([3, 3]))
+    assert (rep.x_best, rep.f_best, rep.termination) == ((0, 0), 0.0, "budget")
+    assert (rep.n_fu, rep.n_fill) == (30, 0)
+    assert counter.limit == 0
+    assert [ev["kind"] for ev in rep.events] == ["finalize_descent"]
+
+
 def test_budget_cut_deterministic():
     r1 = solve(booth_objective(), np.array([0, 0]), SolverConfig(max_evaluations=350))
     r2 = solve(booth_objective(), np.array([0, 0]), SolverConfig(max_evaluations=350))
@@ -500,6 +526,40 @@ def test_external_counter_limit_respected_and_restored():
     assert rep.termination == "budget"
     assert counter.limit == 100
     assert rep.x_best == (0, 0)
+
+
+# ---------------------------------------------------------------- degenerate boxes
+
+
+@pytest.mark.parametrize("minimizer", [None, "compass", "quasi-newton"])
+def test_solve_on_a_box_flat_in_one_axis(minimizer):
+    # lower == upper on axis 2: its gradient probes have no spread and are
+    # skipped, and no point evaluated leaves x1 = 2.
+    box = BoxDomain(np.array([-5, 2]), np.array([5, 2]))
+    seen = []
+
+    def fn(x):
+        seen.append(float(x[1]))
+        return float((x[0] - 1) ** 2 + x[1] ** 2)
+
+    cfg = SolverConfig()
+    if minimizer is not None:
+        cfg = SolverConfig(objective_minimizer=minimizer, filled_minimizer=minimizer)
+    rep = solve(ObjectiveFunction(fn, box, EvalCounter()), np.array([4, 2]), cfg)
+    assert rep.x_best == (1, 2) and rep.f_best == 4.0
+    assert set(seen) == {2.0}
+
+
+def test_solve_on_a_single_point_box():
+    box = BoxDomain(np.array([3, 3]), np.array([3, 3]))
+    obj = ObjectiveFunction(lambda x: float(x @ x), box, EvalCounter())
+    rep = solve(obj, np.array([3, 3]))
+    assert rep.x_best == (3, 3) and rep.f_best == 18.0
+    assert rep.n_fill == 0
+    # No neighbor: the D1 check passes vacuously in every round.
+    d1 = {"anchor": (3, 3), "passed": True, "anchor_filled": 2.0,
+          "max_neighbor_filled": -np.inf}
+    assert rep.d1_checks == [d1] * 3
 
 
 # ---------------------------------------------------------------- counting flags
@@ -531,6 +591,19 @@ def test_quasi_newton_escapes_over_three_rounds(name, minimum, columns):
     assert rep.x_best == minimum and rep.outer_iterations == 3
     assert rep.columns() == columns
     assert rep.termination == "max_iterations"
+
+
+def test_compass_escape_expand_is_the_outer_round(monkeypatch):
+    built = []
+
+    def recording(method, options=None):
+        built.append((method, options))
+        return make_minimizer(method, options)
+
+    monkeypatch.setattr(intfill.solver, "make_minimizer", recording)
+    solve_problem(get_problem("booth"))
+    escapes = [options for method, options in built if method == "compass"]
+    assert escapes == [{"step_tol": 0.75, "expand": float(k)} for k in (1, 2, 3)]
 
 
 def test_compass_descent_solves_booth():
