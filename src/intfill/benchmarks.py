@@ -16,12 +16,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import numbers
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BoxDomain, IntPoint, ParameterError
+from .core import BoxDomain, IntPoint, ParameterError, as_int_point, check_number
 
 Formula = Callable[[np.ndarray], float]
 
@@ -49,9 +48,9 @@ class BenchmarkProblem:
 
 def expand_start_pattern(pattern: Sequence[int], n: int) -> tuple[int, ...]:
     """Cycle a short pattern out to dimension n: (-5, 5) -> (-5, 5, -5, ...)."""
-    if not pattern:
+    if not (coords := as_int_point(pattern).tolist()):  # a start point's rule
         raise ParameterError("empty start pattern")
-    return tuple(itertools.islice(itertools.cycle(int(v) for v in pattern), n))
+    return tuple(itertools.islice(itertools.cycle(coords), n))
 
 
 def rosenbrock_value(x: np.ndarray) -> float:
@@ -173,8 +172,8 @@ def get_problem(name: str, n: int | None = None) -> BenchmarkProblem:
     except KeyError:
         known = ", ".join(_TABLE)
         raise ParameterError(f"unknown problem {name!r}; known: {known}") from None
-    if n is not None and not isinstance(n, numbers.Integral):
-        raise ParameterError(f"{name}: dimension must be an integer, got {n!r}")
+    if n is not None:
+        check_number(n, f"{name}: dimension", count=True)
     if not scalable and n not in (None, dim):
         raise ParameterError(f"{name} is defined only for n={dim}")
     n = (n or 2) if scalable else dim

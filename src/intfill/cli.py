@@ -55,7 +55,7 @@ from .benchmarks import (
     get_problem,
     registry,
 )
-from .core import DomainError, ParameterError
+from .core import DomainError, ParameterError, as_int_point, point_key
 from .filled import FilledParams
 from .solver import SolverConfig, solve_problem
 
@@ -85,6 +85,11 @@ def config_from_dict(overrides: dict[str, Any] | None) -> SolverConfig:
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
     if params is not None:
+        if not isinstance(params, dict):
+            raise ParameterError(f"filled_params must be an object, got {params!r}")
+        unknown = set(params) - {f.name for f in dataclasses.fields(FilledParams)}
+        if unknown:
+            raise ParameterError(f"unknown filled_params keys: {sorted(unknown)}")
         data["filled_params"] = FilledParams(**params)
     return SolverConfig(**data)
 
@@ -114,7 +119,7 @@ def execute_run(spec: dict[str, Any], defaults: dict[str, Any]) -> dict[str, Any
         if "start_pattern" in spec:
             start = expand_start_pattern(spec["start_pattern"], problem.dimension)
         elif "start" in spec:
-            start = tuple(int(v) for v in spec["start"])
+            start = point_key(as_int_point(spec["start"]))
         else:
             start = problem.default_start
         report = solve_problem(problem, start, cfg)

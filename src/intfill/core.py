@@ -11,13 +11,16 @@ Conventions:
 * A box is the set of integer vectors ``x`` with
   ``lower[i] <= x[i] <= upper[i]`` in every coordinate.
 * The neighborhood of ``x`` is ``x`` plus/minus one unit vector per
-  axis, intersected with the box, together with ``x`` itself.
+  axis, intersected with the box, together with ``x`` itself. It is
+  scanned in the order -e1, +e1, -e2, +e2, ..., then ``x``, and every
+  deterministic tie-break in the package follows that order.
 """
 from __future__ import annotations
 
 import dataclasses
 import itertools
 import math
+import numbers
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -69,26 +72,26 @@ def as_real_point(x: Sequence[float] | np.ndarray) -> RealPoint:
     return arr
 
 
+def check_number(value: object, name: str, count: bool = False) -> None:
+    """``ParameterError`` unless ``value`` is an int (``count``) or a finite number."""
+    ok = isinstance(value, numbers.Integral if count else numbers.Real)
+    # A bool is neither; a count may exceed the float range, a number may not.
+    ok = ok and (count or abs(value) <= 1.7976931348623157e308)  # the float max
+    if not ok or isinstance(value, bool):
+        want = "an int" if count else "a finite number"
+        raise ParameterError(f"{name} must be {want}, got {value!r}")
+
+
+def check_numbers(settings: object, prefix: str = "") -> None:
+    """``check_number`` on each ``int`` and ``float`` field of a dataclass."""
+    for f in dataclasses.fields(settings):
+        if f.type in ("int", "float"):  # annotations are strings here
+            check_number(getattr(settings, f.name), prefix + f.name, f.type == "int")
+
+
 def point_key(x: np.ndarray) -> tuple[int, ...]:
     """Hashable identity of a lattice point, for visit sets and dicts."""
     return tuple(int(v) for v in x)
-
-
-def axis_directions(n: int) -> list[IntPoint]:
-    """Unit step directions in the fixed scan order used everywhere.
-
-    Order is -e1, +e1, -e2, +e2, ... and every deterministic tie-break
-    in the package follows it.
-    """
-    dirs: list[IntPoint] = []
-    for i in range(n):
-        minus = np.zeros(n, dtype=np.int64)
-        minus[i] = -1
-        plus = np.zeros(n, dtype=np.int64)
-        plus[i] = 1
-        dirs.append(minus)
-        dirs.append(plus)
-    return dirs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,24 +166,32 @@ def round_point(x: np.ndarray) -> IntPoint:
     The result can leave a box even when ``x`` was inside it: with
     lower bound -5, the in-bounds value -4.6 rounds to -6. Clamping is
     the caller's responsibility and is deliberately a separate
-    operation.
+    operation. A coordinate outside int64 saturates at its bound: the
+    float64 image of ``2**63 - 1``, ``2.0**63``, gives ``2**63 - 1``.
     """
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all():
         raise DomainError(f"cannot round non-finite vector {arr!r}")
     shifted = np.floor(arr + np.where(arr > 0.0, 0.5, -0.5))
     out = np.where(arr == np.floor(arr), arr, shifted)
-    return out.astype(np.int64)
+    top = out >= 2.0**63  # a cast would wrap these to -2**63
+    ints = np.maximum(np.where(top, 0.0, out), -(2.0**63)).astype(np.int64)
+    return np.where(top, 2**63 - 1, ints)
 
 
 def neighborhood(x: IntPoint, box: BoxDomain) -> list[IntPoint]:
-    """Feasible unit-step neighbors of ``x`` in scan order, then ``x``."""
+    """Feasible unit-step neighbors of ``x``, a point of the box, in scan
+    order, then ``x``. Bounds are tested in Python ints: no step wraps."""
+    center = np.array(x, dtype=np.int64, copy=True)
+    bounds = zip(center.tolist(), box.lower.tolist(), box.upper.tolist())
     pts: list[IntPoint] = []
-    for d in axis_directions(box.dimension):
-        y = x + d
-        if box.contains(y):
-            pts.append(y)
-    pts.append(np.array(x, dtype=np.int64, copy=True))
+    for i, (v, lo, hi) in enumerate(bounds):
+        for w in (v - 1, v + 1):
+            if lo <= w <= hi:
+                y = center.copy()
+                y[i] = w
+                pts.append(y)
+    pts.append(center)
     return pts
 
 

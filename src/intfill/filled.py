@@ -28,7 +28,8 @@ import math
 
 import numpy as np
 
-from .core import IntPoint, ObjectiveFunction, ParameterError, as_real_point
+from .core import IntPoint, ObjectiveFunction, ParameterError
+from .core import as_real_point, check_numbers
 
 
 _TINY = float(np.finfo(float).tiny)
@@ -116,6 +117,7 @@ class FilledParams:
     shrink_factor: float = 0.1
 
     def __post_init__(self) -> None:
+        check_numbers(self, "filled_params ")
         if not (0.0 < self.r_min <= self.r_max):
             raise ParameterError(
                 f"need 0 < r_min <= r_max, got r_min={self.r_min} r_max={self.r_max}"

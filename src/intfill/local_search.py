@@ -16,7 +16,6 @@ import dataclasses
 import functools
 import inspect
 import math
-import numbers
 from typing import Callable
 
 import numpy as np
@@ -26,6 +25,7 @@ from .core import (
     IntPoint,
     ParameterError,
     as_real_point,
+    check_numbers,
     neighborhood,
 )
 
@@ -58,23 +58,6 @@ class SearchTrace:
     n_evaluations: int
 
 
-def _check_option_types(minimizer, label: str) -> None:
-    """Every option is a finite number, and an int where annotated ``int``."""
-    for field in dataclasses.fields(minimizer):
-        value = getattr(minimizer, field.name)
-        count = field.type in ("int", int)
-        ok = isinstance(value, numbers.Integral if count else numbers.Real)
-        try:  # a count may exceed the float range, a float option may not
-            ok = ok and (count or math.isfinite(value))
-        except OverflowError:
-            ok = False
-        if isinstance(value, bool) or not ok:
-            want = "an int" if count else "a finite number"
-            raise ParameterError(
-                f"{label} option {field.name} must be {want}, got {value!r}"
-            )
-
-
 def _projected_step(xs: list, t: float, ds: list, lo: list, hi: list) -> list:
     """``BoxDomain.clamp(x + t * d)`` in Python floats, bit for bit: NaN
     passes through and a signed zero tied with a bound becomes the bound."""
@@ -105,7 +88,7 @@ class CompassSearch:
     max_iterations: int = 10_000
 
     def __post_init__(self) -> None:
-        _check_option_types(self, "compass")
+        check_numbers(self, "compass option ")
         if self.step_tol <= 0 or self.expand < 1:
             raise ParameterError(f"bad compass options: {self}")
 
@@ -184,7 +167,7 @@ class QuasiNewton:
     max_iterations: int = 10_000
 
     def __post_init__(self) -> None:
-        _check_option_types(self, "quasi-newton")
+        check_numbers(self, "quasi-newton option ")
 
     def _gradient(
         self, fn: Objective, x: np.ndarray, lo: list[float], hi: list[float]

@@ -23,12 +23,12 @@ The outer loop runs the inner search ``max_outer_iterations`` times,
 and every round starts from the incumbent: the best anchor found so
 far once it beats the start point's value, else the start. The solver
 alone sets a compass escape's ``expand``, to the round number, and
-``filled_minimizer_options`` that set it are a ``ParameterError``. A
-later round descends back to an anchor an earlier round already escaped
-from, so round ``k`` multiplies the compass step by ``k`` on each
-successful poll: the walk then jumps along the lattice and polls points
-far off its axis lines, where round 1's unit-step walk never looked, and
-no two rounds replay the same walk.
+``filled_minimizer_options`` that set it are a ``ParameterError`` when
+the solve builds the escape. A later round descends back to an anchor
+an earlier round already escaped from, so round ``k`` multiplies the
+compass step by ``k`` on each successful poll: the walk then jumps
+along the lattice and polls points far off its axis lines, where round
+1's unit-step walk never looked, and no two rounds replay the same walk.
 Each inner search builds its two minimizers once and reuses them for
 every descent and escape pass, so ``minimize`` must not depend on state
 left by an earlier call.
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import time
 from typing import Any
 
@@ -68,6 +67,7 @@ from .core import (
     ObjectiveFunction,
     ParameterError,
     as_int_point,
+    check_numbers,
     is_discrete_local_min,
     neighborhood,
     neighborhood_argmin,
@@ -97,17 +97,13 @@ class SolverConfig:
     max_evaluations: int = 10_000_000
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         for name in ("max_outer_iterations", "max_evaluations"):
-            value = getattr(self, name)
-            count = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            if not count or value < 1:
+            if (value := getattr(self, name)) < 1:
                 raise ParameterError(f"{name} must be an int >= 1, got {value!r}")
         for name in ("objective_minimizer_options", "filled_minimizer_options"):
             if not isinstance(value := getattr(self, name), dict):
                 raise ParameterError(f"{name} must be an object, got {value!r}")
-        compass = self.filled_minimizer == "compass"
-        if compass and "expand" in self.filled_minimizer_options:
-            raise ParameterError("filled_minimizer_options may not set expand")
 
 
 @dataclasses.dataclass
@@ -254,6 +250,8 @@ def _generic(
         # land anywhere new: a step that grows by a different integer
         # factor in each round polls other lattice points, far off the
         # axis lines of round 1's walk.
+        if "expand" in escape_options:
+            raise ParameterError("filled_minimizer_options may not set expand")
         escape_options = {"step_tol": 0.75, **escape_options, "expand": float(outer)}
     escape = make_minimizer(cfg.filled_minimizer, escape_options)
     while True:
@@ -382,5 +380,4 @@ def solve_problem(
     cfg = cfg or SolverConfig()
     counter = counter if counter is not None else EvalCounter()
     obj = ObjectiveFunction(problem.func, problem.box, counter)
-    start = as_int_point(problem.default_start if x0 is None else x0)
-    return solve(obj, start, cfg)
+    return solve(obj, problem.default_start if x0 is None else x0, cfg)

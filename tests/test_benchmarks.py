@@ -8,13 +8,14 @@ from intfill import benchmarks
 from intfill.benchmarks import (
     APPENDIX_RUNS,
     BRUTE_FORCE_GUARD,
+    BenchmarkProblem,
     PROBLEM_FACTORIES,
     brute_force_min,
     expand_start_pattern,
     get_problem,
     registry,
 )
-from intfill.core import BoxDomain, ParameterError
+from intfill.core import BoxDomain, DomainError, ParameterError
 from intfill.solver import SolverConfig, solve_problem
 
 CANONICAL_NAMES = [
@@ -239,6 +240,12 @@ def test_non_integer_dimension_is_a_parameter_error(name, n):
         get_problem(name, n)
 
 
+def test_bool_dimension_is_a_parameter_error():
+    # A bool passes numbers.Integral, and True would build a 1-d rastrigin.
+    with pytest.raises(ParameterError, match="rastrigin: dimension must be an int"):
+        get_problem("rastrigin", True)
+
+
 def test_fixed_dimension_problems_reject_override():
     assert get_problem("colville", 4).dimension == 4
     for n in (0, 7):
@@ -284,6 +291,20 @@ def test_expand_start_pattern():
     assert expand_start_pattern((1, 2, 3), 2) == (1, 2)
     with pytest.raises(ParameterError):
         expand_start_pattern((), 3)
+    # The pattern follows the start-point rule of as_int_point.
+    assert expand_start_pattern([2.0, -1.0], 3) == (2, -1, 2)
+    for bad in ([1.7], [True], ["3"], 5):
+        with pytest.raises(DomainError):
+            expand_start_pattern(bad, 2)
+
+
+def test_benchmark_problem_rejects_points_of_the_wrong_dimension():
+    booth = get_problem("booth")
+    fields = {"name": "t", "box": booth.box, "func": booth.func, "known_value": 0.0}
+    with pytest.raises(ParameterError, match="t: minimizer dimension mismatch"):
+        BenchmarkProblem(known_minimizer=(1,), default_start=(0, 0), **fields)
+    with pytest.raises(ParameterError, match="t: start dimension mismatch"):
+        BenchmarkProblem(known_minimizer=(1, 3), default_start=(0, 0, 0), **fields)
 
 
 # ---------------------------------------------------------------- oracle

@@ -6,6 +6,7 @@ from typing import Any
 
 import pytest
 
+from intfill.benchmarks import APPENDIX_RUNS
 from intfill.cli import (
     HIT_TOLERANCE,
     RECORD_FIELDS,
@@ -126,6 +127,49 @@ def test_execute_run_names_a_start_outside_int64():
     assert rec["f_g"] is None
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("start", [0.5, 2.9], "non-integral coordinates"),
+        ("start", [True, False], "cannot interpret dtype bool"),
+        ("start", ["3", "1"], "cannot interpret dtype <U1"),
+        ("start_pattern", [1.7], "non-integral coordinates"),
+    ],
+)
+def test_execute_run_takes_only_starts_that_solve_takes(
+    monkeypatch, key, value, message
+):
+    # The run spec's start follows as_int_point, as solve does: a fractional,
+    # bool or string coordinate is a DomainError and nothing is solved.
+    solves = []
+    monkeypatch.setattr("intfill.cli.solve_problem", lambda *a: solves.append(a))
+    rec = execute_run({"problem": "booth", key: value}, {})
+    assert rec["error"].startswith(message)  # bare: a typed error
+    assert rec["f_g"] is None and solves == []
+
+
+def test_execute_run_solves_from_an_integral_float_start():
+    rec = execute_run({"problem": "booth", "start": [2.0, 1.0]}, {})
+    assert rec["error"] is None
+    assert rec["x0"] == [2, 1] and all(type(v) is int for v in rec["x0"])
+    ref = execute_run({"problem": "booth", "start": [2, 1]}, {})
+    columns = ("f_g", "n_fu", "n_fill", "termination")
+    assert [rec[c] for c in columns] == [ref[c] for c in columns]
+
+
+@pytest.mark.parametrize("params", [5, [1.0], "r_max"])
+def test_filled_params_that_are_not_an_object_are_a_parameter_error(params):
+    with pytest.raises(ParameterError, match="filled_params must be an object"):
+        config_from_dict({"filled_params": params})
+    rec = execute_run({"problem": "booth", "config": {"filled_params": params}}, {})
+    assert rec["error"] == f"filled_params must be an object, got {params!r}"
+
+
+def test_unknown_filled_params_keys_are_a_parameter_error():
+    with pytest.raises(ParameterError, match=r"unknown filled_params keys: \['foo'\]"):
+        config_from_dict({"filled_params": {"r_max": 2.0, "foo": 1}})
+
+
 def test_execute_run_merges_defaults_under_per_run_overrides():
     rec = execute_run(
         {"problem": "booth", "config": {"max_outer_iterations": 1}},
@@ -137,7 +181,7 @@ def test_execute_run_merges_defaults_under_per_run_overrides():
 def test_execute_run_records_malformed_count_as_parameter_error():
     rec = execute_run({"problem": "booth", "config": {"max_outer_iterations": 2.5}}, {})
     # A typed error is recorded bare; any other exception carries its type name.
-    assert rec["error"] == "max_outer_iterations must be an int >= 1, got 2.5"
+    assert rec["error"] == "max_outer_iterations must be an int, got 2.5"
     assert rec["f_g"] is None
 
 
@@ -250,10 +294,9 @@ def test_main_matrix_output_dir_falls_back_to_the_environment(
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_main_matrix_records_untyped_row_errors(tmp_path, capsys, jobs):
-    # Bad minimizer options, option fields and run entries that are not
-    # objects are typed errors; a start pattern that is not a sequence
-    # raises TypeError inside the run. Each row records its error and the
-    # batch goes on.
+    # Bad minimizer options, option fields, run entries that are not
+    # objects and a start pattern that is not a sequence are typed errors.
+    # Each row records its error and the batch goes on.
     filled_options = {"filled_minimizer_options": {"foo": 1}}
     objective_options = {"objective_minimizer_options": {"max_iterations": "x"}}
     config = {
@@ -276,7 +319,7 @@ def test_main_matrix_records_untyped_row_errors(tmp_path, capsys, jobs):
     records = read_records_csv(tmp_path / "bad.csv")
     assert "unknown compass options ['foo']" in records[0]["error"]
     assert "quasi-newton option max_iterations" in records[1]["error"]
-    assert records[2]["error"] == "TypeError: 'int' object is not iterable"
+    assert records[2]["error"] == "expected a 1-d point, got shape ()"
     assert records[3]["error"] is None and records[3]["hit"] is True
     assert records[4]["error"] == "run spec must be an object, got 5"
     assert records[5]["error"] == "objective_minimizer_options must be an object, got 5"
@@ -293,6 +336,15 @@ def test_main_matrix_deterministic_tables(tmp_path):
     for ra, rb in zip(a, b):
         ra.pop("wall_time"), rb.pop("wall_time")
     assert a == b
+
+
+def test_main_matrix_builtin_appendix(tmp_path, monkeypatch, capsys):
+    booth_row = next(row for row in APPENDIX_RUNS if row[0] == "booth")
+    monkeypatch.setattr("intfill.cli.APPENDIX_RUNS", (booth_row,))
+    assert main(["matrix", "--builtin", "appendix", "--output-dir", str(tmp_path)]) == 0
+    assert "hit rate: 1/1 (0 errors)" in capsys.readouterr().out
+    (record,) = read_records_csv(tmp_path / "matrix.csv")
+    assert record["problem"] == "booth" and record["x0"] == list(booth_row[2])
 
 
 def test_main_matrix_without_config_errors(capsys):

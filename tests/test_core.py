@@ -11,7 +11,7 @@ from intfill.core import (
     ObjectiveFunction,
     ParameterError,
     as_int_point,
-    axis_directions,
+    as_real_point,
     is_discrete_local_min,
     neighborhood,
     neighborhood_argmin,
@@ -103,6 +103,13 @@ def test_round_point_negative_floors_down(t):
 def test_round_point_fixes_integers(ints):
     arr = np.array(ints, dtype=float)
     np.testing.assert_array_equal(round_point(arr), ints)
+
+
+def test_round_point_saturates_at_the_int64_bounds():
+    # 2.0**63 is the float64 image of 2**63 - 1; a plain cast wraps it.
+    out = round_point(np.array([2.0**63, 1e19, -(2.0**63), -1e19, -2.6]))
+    assert out.dtype == np.int64
+    assert out.tolist() == [2**63 - 1, 2**63 - 1, -(2**63), -(2**63), -4]
 
 
 # ---------------------------------------------------------------- box
@@ -223,11 +230,6 @@ def test_box_random_point_feasible_and_seeded():
 # ---------------------------------------------------------------- neighborhoods
 
 
-def test_axis_directions_order():
-    dirs = [tuple(d) for d in axis_directions(2)]
-    assert dirs == [(-1, 0), (1, 0), (0, -1), (0, 1)]
-
-
 def test_neighborhood_interior_order_center_last():
     box = box2()
     pts = [tuple(p) for p in neighborhood(np.array([1, -2]), box)]
@@ -248,6 +250,16 @@ def test_neighborhood_points_feasible_unit_distance():
     pts = neighborhood(center, box)
     assert all(box.contains(p) for p in pts)
     assert all(np.abs(p - center).sum() <= 1 for p in pts)
+
+
+def test_neighborhood_does_not_wrap_at_the_int64_edges():
+    top, bottom = 2**63 - 1, -(2**63)
+    box = BoxDomain(np.array([bottom, 0]), np.array([top, 0]))
+    at_top = [tuple(p) for p in neighborhood(np.array([top, 0]), box)]
+    assert at_top == [(top - 1, 0), (top, 0)]
+    at_bottom = [tuple(p) for p in neighborhood(np.array([bottom, 0]), box)]
+    assert at_bottom == [(bottom + 1, 0), (bottom, 0)]
+    assert all(p.dtype == np.int64 for p in neighborhood(np.array([top, 0]), box))
 
 
 def booth(x):
@@ -373,6 +385,17 @@ def test_as_int_point_rejects_values_outside_int64():
     edges = as_int_point(np.array([2**63 - 1, -(2**63)], dtype=np.int64))
     np.testing.assert_array_equal(edges, [2**63 - 1, -(2**63)])
     np.testing.assert_array_equal(as_int_point([-(2.0**63)]), [-(2**63)])
+
+
+def test_as_int_point_and_as_real_point_reject_non_points():
+    for bad in ([[1, 2], [3, 4]], np.zeros((2, 2)), 5):
+        with pytest.raises(DomainError, match="expected a 1-d point"):
+            as_int_point(bad)
+    for bad in (["3", "1"], np.array(["3", "1"]), [True, False]):
+        with pytest.raises(DomainError, match="cannot interpret dtype"):
+            as_int_point(bad)
+    with pytest.raises(DomainError, match="expected a 1-d point"):
+        as_real_point(np.zeros((1, 2)))
 
 
 def test_point_key_round_trip():

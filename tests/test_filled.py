@@ -344,6 +344,16 @@ def test_filled_params_defaults_and_validation():
         FilledParams(shrink_factor=0.0)
 
 
+@pytest.mark.parametrize("field", ["r_max", "r_min", "shrink_factor"])
+@pytest.mark.parametrize(
+    "value", ["0.5", True, float("inf"), None, pytest.param(10**400, id="10**400")]
+)
+def test_filled_params_rejects_values_that_are_not_finite_numbers(field, value):
+    message = f"filled_params {field} must be a finite number"
+    with pytest.raises(ParameterError, match=message):
+        FilledParams(**{field: value})
+
+
 @pytest.mark.parametrize("min_excess", [0.0, 2.5, np.inf])
 def test_next_margin_gives_up_after_a_saturated_pass(min_excess):
     # No point of the pass beat the anchor, so any margin replays it.

@@ -11,7 +11,6 @@ from intfill.core import (
     EvalCounter,
     ObjectiveFunction,
     ParameterError,
-    axis_directions,
 )
 from intfill.filled import AugmentedFilled, InverseSquareFilled
 from intfill.local_search import (
@@ -201,7 +200,7 @@ def reference_compass(compass, fn, x0, box):
     nev, steps = 1, 0
     step = _INITIAL_STEP
     widest = float(max(int(u) - int(l) for l, u in zip(box.lower, box.upper)))
-    dirs = [d.astype(float) for d in axis_directions(box.dimension)]
+    dirs = [d for e in np.eye(box.dimension) for d in (0.0 - e, e)]  # -e1, +e1, ...
     termination = "budget"
     for _ in range(compass.max_iterations):
         if step < compass.step_tol:

@@ -75,7 +75,9 @@ def test_config_validation():
     "value", [0, -1, 2.5, float("nan"), float("inf"), True, "5", None]
 )
 def test_config_rejects_malformed_counts(field, value):
-    with pytest.raises(ParameterError, match=f"{field} must be an int >= 1"):
+    # A value that is no int fails the shared type check ("must be an int,
+    # got ..."), an int below 1 the range check ("must be an int >= 1").
+    with pytest.raises(ParameterError, match=f"{field} must be an int"):
         SolverConfig(**{field: value})
 
 
@@ -89,15 +91,25 @@ def test_config_rejects_minimizer_options_that_are_not_objects(field, value):
 
 
 def test_config_rejects_an_expand_for_the_compass_escape():
-    # The solver sets the compass escape's expand to the outer round.
-    options = {"filled_minimizer_options": {"expand": 2.0}}
+    # The solver sets the compass escape's expand to the outer round, and
+    # reports one in the options where it builds the escape.
+    cfg = SolverConfig(filled_minimizer_options={"expand": 2.0})
     with pytest.raises(ParameterError, match="filled_minimizer_options.*expand"):
-        SolverConfig(**options)
+        solve_problem(get_problem("booth"), cfg=cfg)
     # A compass descent keeps its expand option.
     cfg = SolverConfig(
         objective_minimizer="compass", objective_minimizer_options={"expand": 2.0}
     )
     assert cfg.objective_minimizer_options == {"expand": 2.0}
+
+
+def test_expand_set_after_the_config_is_built_is_rejected_at_solve_time():
+    cfg = SolverConfig()
+    cfg.filled_minimizer_options["expand"] = 5.0
+    counter = EvalCounter()
+    with pytest.raises(ParameterError, match="filled_minimizer_options.*expand"):
+        solve_problem(get_problem("booth"), cfg=cfg, counter=counter)
+    assert counter.limit is None
 
 
 def test_config_accepts_numpy_and_huge_counts():
@@ -560,6 +572,20 @@ def test_solve_on_a_single_point_box():
     d1 = {"anchor": (3, 3), "passed": True, "anchor_filled": 2.0,
           "max_neighbor_filled": -np.inf}
     assert rep.d1_checks == [d1] * 3
+
+
+def test_solve_at_the_top_int64_bound_keeps_its_endpoint():
+    # Phase 1 ends at 2.0**63, the float64 image of the top bound. Rounded
+    # by a wrapping cast it would land at -2**63, be clamped to 0, and the
+    # lattice descent would walk back one unit per evaluation until the
+    # budget ran out.
+    top = 2**63 - 1
+    box = BoxDomain(np.array([0]), np.array([top]))
+    obj = ObjectiveFunction(lambda x: -float(x[0]), box, EvalCounter())
+    rep = solve(obj, np.array([top]), SolverConfig(max_evaluations=20_000))
+    assert rep.termination == "max_iterations"
+    assert rep.x_best == (top,)
+    assert (rep.n_fu, rep.n_fill) == (58, 9)
 
 
 # ---------------------------------------------------------------- counting flags
