@@ -423,13 +423,15 @@ def _hexed(v):
 
 def report_digest(rep: SolveReport, drop: tuple[str, ...] = ()) -> str:
     """Digest of everything a solve reports except its wall time, and
-    except the event fields named in ``drop``."""
+    except the event fields and report columns named in ``drop``."""
+    summary = {"x_best": rep.x_best, "f_best": rep.f_best, "n_fu": rep.n_fu,
+               "n_fill": rep.n_fill, "termination": rep.termination}
     body = [
         [{k: v for k, v in e.items() if k not in drop} for e in rep.events],
         rep.bound_checks,
         rep.d1_checks,
         rep.dc2_checks,
-        (rep.x_best, rep.f_best, rep.n_fu, rep.n_fill, rep.termination),
+        [v for k, v in summary.items() if k not in drop],
     ]
     return hashlib.sha256(json.dumps(_hexed(body)).encode()).hexdigest()[:16]
 
@@ -446,6 +448,28 @@ def test_solve_output_is_pinned_bit_for_bit(name, start, options, digest):
     # every event, check record and column, and so these digests.
     rep = solve_problem(get_problem(name), x0=start, cfg=SolverConfig(**options))
     assert report_digest(rep) == digest
+
+
+COUNTERS = ("n_fu", "n_fill", "escape_evaluations")
+
+
+@pytest.mark.parametrize("name,n,start,options,digest", [
+    ("booth", None, (0, 0), {}, "02f8af79f4633d13"),
+    ("leon", None, (10, 10), {}, "024973dcba6df027"),
+    ("three-hump-camel", None, (2, 2), {}, "e37b5e9ad1e5cde5"),
+    ("booth", None, (0, 0), {"max_evaluations": 200}, "f5616849bb010739"),
+    ("booth", None, (0, 0), {"filled_minimizer": "quasi-newton"}, "59c20a8f9a61883c"),
+    ("rosenbrock", 10, None, {}, "afcec4c8c0853fd0"),
+    ("schaffer-n1", None, (51, 91), {}, "04267b62432690fe"),
+])
+def test_solve_trajectory_is_pinned_without_its_counters(
+    name, n, start, options, digest
+):
+    # Every event, check record, x_best and f_best, with the evaluation
+    # counts left out: a change to what a solve charges, and not to where
+    # it goes, keeps these digests.
+    rep = solve_problem(get_problem(name, n), x0=start, cfg=SolverConfig(**options))
+    assert report_digest(rep, drop=COUNTERS) == digest
 
 
 WALK_FIELDS = ("escape_termination", "escape_evaluations")
