@@ -19,20 +19,26 @@ more, so minimizing it drains trajectories into improving regions.
 For searches run in the continuous relaxation, ``AugmentedFilled`` adds
 ``|F(x)| * sum_i sin^2(pi x_i)``, a penalty that vanishes exactly on
 the lattice and pushes minimizers toward integer coordinates; at a
-lattice point it is not computed at all.
+lattice point it is not computed at all. A ``FilledMemo`` remembers the
+augmented values already computed around one anchor, so that a compass
+walk can reuse them without evaluating the point again.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 
 import numpy as np
 
 from .core import IntPoint, ObjectiveFunction, ParameterError
-from .core import as_real_point, check_numbers
+from .core import as_real_point, check_numbers, point_key
 
 
 _TINY = float(np.finfo(float).tiny)
+# Entries one FilledMemo keeps, the oldest dropped first. A solve keeps one
+# memo at a time, so this bounds the memory that remembered values take.
+_MEMO_SIZE = 4096
 
 
 def smoothed_ramp(t: float, r: float) -> float:
@@ -152,7 +158,8 @@ class InverseSquareFilled:
 
     ``raw`` charges one filled evaluation plus the embedded objective
     evaluation it performs, and keeps ``min_excess`` (``inf`` at first),
-    the lowest ``f(x) - f(anchor)`` seen, for ``FilledParams.next_margin``.
+    the lowest ``f(x) - f(anchor)`` seen, for ``FilledParams.next_margin``,
+    and ``excess``, that difference at the last point it evaluated.
     The anchor's own filled value is a constant of the construction
     (envelope 2, gate 1) and is exposed without charging anything.
     """
@@ -180,10 +187,35 @@ class InverseSquareFilled:
         self.objective.counter.charge_filled()
         x = np.asarray(x, dtype=float)  # once, for the objective and the envelope
         fx = self.objective.embedded(x)
-        excess = fx - self.anchor_value
+        self.excess = excess = fx - self.anchor_value
         if excess < self.min_excess:
             self.min_excess = excess
         return filled_value(x, self._anchor_real, self.anchor_value, fx, self.r)
+
+
+class FilledMemo:
+    """Augmented filled values computed around one anchor and anchor value.
+
+    Every ``AugmentedFilled`` of that anchor shares the memo: the D1
+    check's and each escape pass's, at whatever margin. An entry is keyed
+    by the margin and the point's ``float64`` bytes and holds the value
+    with its excess ``f(x) - f(anchor)``. The memo keeps at most
+    ``_MEMO_SIZE`` entries and drops the oldest first. A remembered value
+    is the one a new evaluation would give only if the objective returns
+    the same value at the same point every time.
+    """
+
+    def __init__(self, anchor: IntPoint, anchor_value: float) -> None:
+        self.anchor = point_key(anchor)
+        self.anchor_value = anchor_value
+        self.size = _MEMO_SIZE
+        self.entries: collections.OrderedDict = collections.OrderedDict()
+
+    def store(self, r: float, key: bytes, value: float, excess: float) -> None:
+        entries = self.entries
+        entries[r, key] = (value, excess)
+        if len(entries) > self.size:
+            entries.popitem(last=False)
 
 
 class AugmentedFilled:
@@ -193,18 +225,38 @@ class AugmentedFilled:
     raw values agree bit for bit there. At a ``float64`` point with every
     coordinate integral, the raw value is returned without computing the
     penalty: ``raw + abs(raw) * 0.0 == raw`` for every value ``raw`` can
-    take (finite or NaN), so skipping it changes no bit.
+    take (finite or NaN), so skipping it changes no bit. With a ``memo``,
+    each value computed is stored there, and ``recall`` reads it back.
     """
 
-    def __init__(self, base: InverseSquareFilled) -> None:
+    def __init__(self, base: InverseSquareFilled, memo: FilledMemo | None = None) -> None:
         self.base = base
+        self.memo = memo
 
     def __call__(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)  # once, for the raw value and the penalty
-        raw = self.base.raw(x)
-        if all(map(float.is_integer, x.tolist())):  # False for NaN and +-inf
-            return raw
-        return raw + abs(raw) * lattice_penalty(x)
+        base = self.base
+        value = base.raw(x)
+        if not all(map(float.is_integer, x.tolist())):  # False for NaN and +-inf
+            value += abs(value) * lattice_penalty(x)
+        if self.memo is not None:
+            self.memo.store(base.r, x.tobytes(), value, base.excess)
+        return value
+
+    def recall(self, key: bytes) -> float | None:
+        """The value remembered at the ``float64`` point whose bytes are
+        ``key``, or None. A hit charges nothing, and its excess counts
+        toward ``min_excess`` as a new evaluation's would."""
+        if self.memo is None:
+            return None
+        base = self.base
+        hit = self.memo.entries.get((base.r, key))
+        if hit is None:
+            return None
+        value, excess = hit
+        if excess < base.min_excess:
+            base.min_excess = excess
+        return value
 
 
 @dataclasses.dataclass(frozen=True)

@@ -67,6 +67,11 @@ def _projected_step(xs: list, t: float, ds: list, lo: list, hi: list) -> list:
     ]
 
 
+def _no_recall(key: bytes) -> None:
+    """``recall`` of a function that remembers nothing."""
+    return None
+
+
 @dataclasses.dataclass
 class CompassSearch:
     """Pattern search polling the 2n axis directions.
@@ -81,6 +86,10 @@ class CompassSearch:
     point are ``float64``. A poll at a point the call already evaluated,
     such as one that projects back onto the current point at a face of
     the box, is skipped: each distinct point reaches ``fn`` at most once.
+    If ``fn`` has a ``recall`` method, as the solver's filled functions
+    do, the start and each poll first ask ``fn.recall(x.tobytes())``
+    for a value ``fn`` already computed. A value it returns is used
+    without calling ``fn`` and is not counted in ``n_evaluations``.
     """
 
     expand: float = 1.0
@@ -99,12 +108,16 @@ class CompassSearch:
         step = _INITIAL_STEP
         lo = box.lower.astype(float).tolist()
         hi = box.upper.astype(float).tolist()
-        fx = start_value = float(fn(x))
-        nev, steps = 1, 0
+        recall = getattr(fn, "recall", _no_recall)
+        key = x.tobytes()
+        nev, steps = 0, 0
+        if (fx := recall(key)) is None:
+            fx, nev = float(fn(x)), 1
+        start_value = fx
         xs = x.tolist()
         # fx only falls, so every value seen is >= fx or NaN: a repeated
         # point cannot improve, and each distinct point is evaluated once.
-        seen = {x.tobytes()}
+        seen = {key}
         # A poll is base with one coordinate moved and clamped in Python
         # floats: bit for bit the clamp of x + step * d, which also turns a
         # -0.0 of the start into 0.0. An accepted poll holds no -0.0.
@@ -130,8 +143,9 @@ class CompassSearch:
                     if key in seen:
                         continue
                     seen.add(key)
-                    v = float(fn(y))
-                    nev += 1
+                    if (v := recall(key)) is None:
+                        v = float(fn(y))
+                        nev += 1
                     if v < best_val:
                         best, best_val = y, v
             if best is None:

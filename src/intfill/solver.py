@@ -37,7 +37,12 @@ Evaluation accounting: every objective evaluation (including candidate
 ordering, neighborhood argmins, and the objective evaluation embedded
 in each filled value unless the objective's ``count_in_filled`` is off)
 charges ``n_fu``, and every filled evaluation (including the per-escape
-bound check and the D1/DC2 condition checks) charges ``n_fill``. When the
+bound check and the D1/DC2 condition checks) charges ``n_fill``. The
+run record keeps one ``FilledMemo`` for the last anchor escaped from,
+shared by that anchor's D1 check and escape passes in every round, and
+replaces it when the anchor or its value changes. A compass escape
+recalls a value from it instead of evaluating the point again, which
+charges nothing and leaves the path of the solve as it was. When the
 combined budget runs out mid-search the run is cut deterministically.
 
 The run record keeps the best anchor and the best lattice point seen,
@@ -77,6 +82,7 @@ from .core import (
 from .filled import (
     AugmentedFilled,
     BoundCheck,
+    FilledMemo,
     FilledParams,
     InverseSquareFilled,
     rounding_error_check,
@@ -146,6 +152,8 @@ class _RunRecord:
     # best lattice value seen: the start, the anchors and escape landings.
     best_anchor: tuple[IntPoint, float] | None = None
     best_seen: tuple[IntPoint, float] | None = None
+    # Filled values around the last anchor escaped from.
+    memo: FilledMemo | None = None
 
     def incumbent(self, start: IntPoint, f_start: float) -> tuple[IntPoint, float]:
         """Where an outer round starts: the best anchor once it beats the start."""
@@ -161,6 +169,14 @@ class _RunRecord:
     def note_seen(self, x: IntPoint, v: float) -> None:
         if self.best_seen is None or _beats(v, self.best_seen[1]):
             self.best_seen = (np.array(x), v)
+
+    def filled_memo(self, anchor: IntPoint, value: float) -> FilledMemo:
+        """The memo of ``anchor`` at ``value``: the current one, or a new
+        one that replaces it once the anchor or its value has changed."""
+        memo = self.memo
+        if memo is None or (memo.anchor, memo.anchor_value) != (point_key(anchor), value):
+            memo = self.memo = FilledMemo(anchor, value)
+        return memo
 
     def log(self, counter: EvalCounter, kind: str, **fields: Any) -> None:
         self.events.append(
@@ -184,9 +200,10 @@ def _escape(
     """
     box = obj.box
     neighbors = neighborhood(x_star, box)[:-1]
+    memo = rec.filled_memo(x_star, f_star)
     # The anchor's own filled value is a constant of the construction;
     # every neighbor must fall strictly below it.
-    d1 = AugmentedFilled(InverseSquareFilled(obj, x_star, f_star, params.r_max))
+    d1 = AugmentedFilled(InverseSquareFilled(obj, x_star, f_star, params.r_max), memo)
     anchor_filled = d1.base.anchor_filled_value()
     worst = -np.inf
     for nb in neighbors:
@@ -203,7 +220,7 @@ def _escape(
         r = params.r_max
         while r is not None:
             filled = InverseSquareFilled(obj, x_star, f_star, r)
-            target = AugmentedFilled(filled)
+            target = AugmentedFilled(filled, memo)
             x_esc, walk = escape.minimize(target, candidate, box)
             check = rounding_error_check(anchor_filled, filled.raw(x_esc), x_esc)
             rec.bound_checks.append(check)

@@ -6,9 +6,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import intfill.filled
-from intfill.core import BoxDomain, EvalCounter, ObjectiveFunction, ParameterError
+from intfill.core import (
+    BoxDomain,
+    BudgetExhausted,
+    EvalCounter,
+    ObjectiveFunction,
+    ParameterError,
+)
 from intfill.filled import (
     AugmentedFilled,
+    FilledMemo,
     FilledParams,
     InverseSquareFilled,
     filled_value,
@@ -326,6 +333,58 @@ def test_augmented_half_offset_doubles_value():
     x = np.array([0.5, 0.0])
     assert ff.raw(x) == 1.8
     assert wrapped(x) == 2 * 1.8
+
+
+# ---------------------------------------------------------------- memo
+
+
+def test_recall_folds_a_negative_stored_excess_into_min_excess():
+    # Another pass at the same margin reads the value the first pass
+    # computed, charges nothing, and sees the same improvement, so
+    # FilledParams.next_margin gets the same min_excess from it.
+    obj = make_objective()
+    anchor = np.array([2, 2])
+    memo = FilledMemo(anchor, 2.0)
+    first = AugmentedFilled(InverseSquareFilled(obj, anchor, 2.0, 1.0), memo)
+    x = np.array([0.5, 1.0])  # f = 1.25, excess -0.75
+    value = first(x)
+    assert first.base.min_excess == -0.75
+    charged = obj.counter.total()
+    second = AugmentedFilled(InverseSquareFilled(obj, anchor, 2.0, 1.0), memo)
+    assert second.recall(x.tobytes()) == value
+    assert second.base.min_excess == -0.75
+    assert obj.counter.total() == charged
+    # A pass at another margin, or without a memo, remembers nothing.
+    other = AugmentedFilled(InverseSquareFilled(obj, anchor, 2.0, 0.5), memo)
+    assert other.recall(x.tobytes()) is None
+    assert other.base.min_excess == np.inf
+    assert AugmentedFilled(second.base).recall(x.tobytes()) is None
+
+
+def test_the_memo_keeps_its_newest_entries_up_to_its_bound(monkeypatch):
+    monkeypatch.setattr(intfill.filled, "_MEMO_SIZE", 3)
+    obj = make_objective()
+    memo = FilledMemo(np.array([0, 0]), 0.0)
+    wrapped = AugmentedFilled(InverseSquareFilled(obj, np.array([0, 0]), 0.0, 1.0), memo)
+    points = [np.array([float(k), 0.5]) for k in range(5)]
+    for k, x in enumerate(points):
+        wrapped(x)
+        assert len(memo.entries) == min(k + 1, 3)
+    assert [wrapped.recall(x.tobytes()) is None for x in points] == [
+        True, True, False, False, False
+    ]
+
+
+@pytest.mark.parametrize("limit", [0, 1])
+def test_an_evaluation_cut_by_the_budget_stores_nothing(limit):
+    # limit 0 stops the filled charge, limit 1 the embedded objective's.
+    obj = make_objective()
+    obj.counter.limit = limit
+    memo = FilledMemo(np.array([0, 0]), 0.0)
+    wrapped = AugmentedFilled(InverseSquareFilled(obj, np.array([0, 0]), 0.0, 1.0), memo)
+    with pytest.raises(BudgetExhausted):
+        wrapped(np.array([1.5, 0.0]))
+    assert not memo.entries
 
 
 # ---------------------------------------------------------------- params

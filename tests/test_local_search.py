@@ -12,7 +12,7 @@ from intfill.core import (
     ObjectiveFunction,
     ParameterError,
 )
-from intfill.filled import AugmentedFilled, InverseSquareFilled
+from intfill.filled import AugmentedFilled, FilledMemo, InverseSquareFilled
 from intfill.local_search import (
     _ARMIJO_C1,
     _BACKTRACK_FACTOR,
@@ -733,3 +733,27 @@ def test_discrete_descent_integer_rastrigin_path():
 def test_discrete_descent_plateau_terminates():
     x, fx = steepest_descent_discrete(lambda p: 1.0, np.array([2, -1]), box2())
     assert tuple(x) == (2, -1) and fx == 1.0
+
+
+def test_compass_recalls_remembered_values_without_charging_them():
+    # A second walk of the same filled function over a shared memo polls
+    # the same points and gets the same values, all from the memo: the
+    # same walk with no evaluation charged or counted, and the same
+    # min_excess.
+    box = BoxDomain(np.array([-5, -4]), np.array([5, 6]))
+    obj = ObjectiveFunction(lambda x: float(x @ x) - x[0], box, EvalCounter())
+    anchor = np.array([3, 3])
+    memo = FilledMemo(anchor, obj(anchor))
+    compass = CompassSearch(step_tol=0.1)
+    walks = []
+    for _ in range(2):
+        fn = AugmentedFilled(InverseSquareFilled(obj, anchor, memo.anchor_value, 1.0), memo)
+        before = obj.counter.total()
+        x, trace = compass.minimize(fn, np.array([3, 4]), box)
+        walks.append((x.tobytes(), trace, fn.base.min_excess, obj.counter.total() - before))
+    (x1, t1, m1, charged1), (x2, t2, m2, charged2) = walks
+    assert t1.n_evaluations > 0 and charged1 == 2 * t1.n_evaluations
+    assert (x2, m2, charged2, t2.n_evaluations) == (x1, m1, 0, 0)
+    assert (t2.start_value, t2.final_value, t2.accepted_steps, t2.termination) == (
+        t1.start_value, t1.final_value, t1.accepted_steps, t1.termination
+    )

@@ -154,7 +154,7 @@ def test_no_restart_pick_after_the_last_round():
     # Round 2 does not improve on round 1 and ends the run; nothing is
     # evaluated after its result.
     rep = solve_problem(get_problem("booth"), cfg=SolverConfig(max_outer_iterations=2))
-    assert rep.columns() == (0.0, 434, 336)
+    assert rep.columns() == (0.0, 327, 229)
     assert rep.termination == "max_iterations"
     assert rep.events[-1]["kind"] == "outer_result"
 
@@ -164,7 +164,7 @@ def test_every_round_starts_from_the_incumbent():
     # on it, and each starts there again instead of at a neighbor of its
     # predecessor's result.
     rep = solve_problem(get_problem("booth"))
-    assert rep.columns() == (0.0, 572, 448)
+    assert rep.columns() == (0.0, 377, 253)
     assert rep.termination == "max_iterations"
     assert {e["kind"] for e in rep.events} <= EVENT_KINDS
     later = [e for e in rep.events if e["kind"] == "anchor" and e["outer"] > 1]
@@ -225,7 +225,7 @@ def test_an_escape_from_a_nan_anchor_improves():
     rounds = [e["improved"] for e in rep.events if e["kind"] == "outer_result"]
     assert rounds == [True, False, False]
     assert "finalize_descent" not in {e["kind"] for e in rep.events}
-    assert rep.x_best == (0, 0) and rep.n_fu == 674
+    assert rep.x_best == (0, 0) and rep.n_fu == 520
 
 
 def test_start_at_the_minimum_reports_its_anchor_without_a_polish():
@@ -233,7 +233,7 @@ def test_start_at_the_minimum_reports_its_anchor_without_a_polish():
     # is: no point the solve saw beats it, so nothing is polished.
     rep = solve_problem(get_problem("booth"), x0=(1, 3))
     assert rep.x_best == (1, 3)
-    assert rep.columns() == (0.0, 527, 448)
+    assert rep.columns() == (0.0, 332, 253)
     assert rep.termination == "max_iterations"
     assert "finalize_descent" not in {e["kind"] for e in rep.events}
 
@@ -436,6 +436,30 @@ def report_digest(rep: SolveReport, drop: tuple[str, ...] = ()) -> str:
     return hashlib.sha256(json.dumps(_hexed(body)).encode()).hexdigest()[:16]
 
 
+@pytest.fixture
+def memo_off(monkeypatch):
+    """Solves remember no filled value, and so evaluate every one again."""
+    monkeypatch.setattr(intfill.filled, "_MEMO_SIZE", 0)
+
+
+@pytest.mark.parametrize("name,start,options,digest", [
+    ("booth", (0, 0), {}, "9ca1b0653cd02d00"),
+    ("leon", (10, 10), {}, "d091dd3d2cfb218b"),
+    ("three-hump-camel", (2, 2), {}, "746d24d49a6f0f8e"),
+    ("booth", (0, 0), {"max_evaluations": 200}, "79f8cbe48f36f756"),
+    ("booth", (0, 0), {"filled_minimizer": "quasi-newton"}, "a68fd691d9c6d1c5"),
+])
+def test_solve_output_with_the_filled_memo_is_pinned_bit_for_bit(
+    name, start, options, digest
+):
+    # A refactor of the solver that keeps the order of evaluations keeps
+    # every event, check record and column, and so these digests. The
+    # quasi-newton escape recalls nothing, so its digest is the one it had
+    # before solves remembered filled values.
+    rep = solve_problem(get_problem(name), x0=start, cfg=SolverConfig(**options))
+    assert report_digest(rep) == digest
+
+
 @pytest.mark.parametrize("name,start,options,digest", [
     ("booth", (0, 0), {}, "25e713dc05ac2eba"),
     ("leon", (10, 10), {}, "4ec3f2984355df33"),
@@ -443,9 +467,10 @@ def report_digest(rep: SolveReport, drop: tuple[str, ...] = ()) -> str:
     ("booth", (0, 0), {"max_evaluations": 200}, "d3e5cdf5533ea756"),
     ("booth", (0, 0), {"filled_minimizer": "quasi-newton"}, "a68fd691d9c6d1c5"),
 ])
-def test_solve_output_is_pinned_bit_for_bit(name, start, options, digest):
-    # A refactor of the solver that keeps the order of evaluations keeps
-    # every event, check record and column, and so these digests.
+def test_solve_output_is_pinned_bit_for_bit(name, start, options, digest, memo_off):
+    # The digests of the solver before it remembered filled values: with
+    # the memo off, each solve evaluates every filled value again, as it
+    # did then, and replays them bit for bit.
     rep = solve_problem(get_problem(name), x0=start, cfg=SolverConfig(**options))
     assert report_digest(rep) == digest
 
@@ -484,12 +509,30 @@ FINE_WALK = {"filled_minimizer_options": {"step_tol": 1e-6}}
     ("booth", (0, 0), {"filled_minimizer": "quasi-newton"}, "89c13e51181ffaf8"),
 ])
 def test_a_walk_to_step_tol_1e_6_replays_the_sub_unit_escapes(
-    name, start, options, digest
+    name, start, options, digest, memo_off
 ):
     # The digests of the solver whose compass escape refined its endpoint
     # down to a step of 1e-6, before escape events recorded how each walk
-    # ended. That walk is still reachable through the config, and the
-    # quasi-newton escape, which takes no step_tol, is unchanged.
+    # ended and before solves remembered filled values. That walk is still
+    # reachable through the config, and the quasi-newton escape, which
+    # takes no step_tol, is unchanged.
+    rep = solve_problem(get_problem(name), x0=start, cfg=SolverConfig(**options))
+    assert report_digest(rep, drop=WALK_FIELDS) == digest
+
+
+@pytest.mark.parametrize("name,start,options,digest", [
+    ("booth", (0, 0), FINE_WALK, "24d3ae607aca9ab8"),
+    ("leon", (10, 10), FINE_WALK, "77312ba777cbbede"),
+    ("three-hump-camel", (2, 2), FINE_WALK, "b12ee30e93bdf810"),
+    ("booth", (0, 0), {"max_evaluations": 200, **FINE_WALK}, "dc1a1efbdc94c025"),
+    ("booth", (0, 0), {"filled_minimizer": "quasi-newton"}, "89c13e51181ffaf8"),
+])
+def test_a_walk_to_step_tol_1e_6_with_the_filled_memo_is_pinned(
+    name, start, options, digest
+):
+    # The same solves as above with the memo on. The budget of 200 runs
+    # out before any walk recalls a value, and the quasi-newton escape
+    # recalls none, so those two digests stay the same.
     rep = solve_problem(get_problem(name), x0=start, cfg=SolverConfig(**options))
     assert report_digest(rep, drop=WALK_FIELDS) == digest
 
@@ -603,13 +646,17 @@ def test_solve_at_the_top_int64_bound_keeps_its_endpoint():
     # by a wrapping cast it would land at -2**63, be clamped to 0, and the
     # lattice descent would walk back one unit per evaluation until the
     # budget ran out.
+    rep = _solve_at_the_top_int64_bound()
+    assert rep.termination == "max_iterations"
+    assert rep.x_best == (2**63 - 1,)
+    assert (rep.n_fu, rep.n_fill) == (55, 6)
+
+
+def _solve_at_the_top_int64_bound():
     top = 2**63 - 1
     box = BoxDomain(np.array([0]), np.array([top]))
     obj = ObjectiveFunction(lambda x: -float(x[0]), box, EvalCounter())
-    rep = solve(obj, np.array([top]), SolverConfig(max_evaluations=20_000))
-    assert rep.termination == "max_iterations"
-    assert rep.x_best == (top,)
-    assert (rep.n_fu, rep.n_fill) == (58, 9)
+    return solve(obj, np.array([top]), SolverConfig(max_evaluations=20_000))
 
 
 # ---------------------------------------------------------------- counting flags
@@ -691,7 +738,7 @@ def test_schaffer_n1_from_51_91_does_not_cycle_between_two_anchors():
     rep = solve_problem(get_problem("schaffer-n1"), x0=(51, 91))
     assert rep.termination == "max_iterations"
     assert rep.x_best == (0, 0) and rep.f_best == 0.0
-    assert rep.n_fu + rep.n_fill == 19_287
+    assert rep.n_fu + rep.n_fill == 18_687
 
 
 def test_filled_minimizer_is_built_once_per_inner_search():
@@ -718,3 +765,68 @@ def test_filled_minimizer_is_built_once_per_inner_search():
     escapes = sum(ev["kind"] == "escape" for ev in rep.events)
     assert len(runs) == escapes > len(built)
     assert {id(m) for m in runs} == {id(m) for m in built}
+
+
+# ---------------------------------------------------------------- filled memo
+
+
+def test_the_run_record_keeps_one_memo_per_anchor_and_value():
+    rec = intfill.solver._RunRecord()
+    memo = rec.filled_memo(np.array([1, 3]), 0.0)
+    assert rec.filled_memo(np.array([1, 3]), 0.0) is memo
+    assert rec.filled_memo(np.array([1, 4]), 0.0) is not memo
+    memo = rec.filled_memo(np.array([1, 4]), 0.0)
+    assert rec.filled_memo(np.array([1, 4]), 0.5) is not memo
+
+
+@pytest.mark.parametrize("size", [0, 1, 64])
+def test_the_memo_size_moves_only_the_counters(monkeypatch, size):
+    # A remembered value is the one the function would compute again, so
+    # however many values a solve keeps, it goes the same way; and the
+    # memo never holds more than its bound.
+    monkeypatch.setattr(intfill.filled, "_MEMO_SIZE", size)
+    largest = []
+    store = intfill.filled.FilledMemo.store
+
+    def recording(memo, *args):
+        store(memo, *args)
+        largest.append(len(memo.entries))
+
+    monkeypatch.setattr(intfill.filled.FilledMemo, "store", recording)
+    rep = solve_problem(get_problem("schaffer-n1"), x0=(51, 91))
+    assert report_digest(rep, drop=COUNTERS) == "04267b62432690fe"
+    assert max(largest) == size
+
+
+@pytest.mark.parametrize("run,counts", [
+    pytest.param(
+        lambda: solve_problem(get_problem("booth"), cfg=SolverConfig(max_outer_iterations=2)),
+        (434, 336), id="booth-two-rounds",
+    ),
+    pytest.param(lambda: solve_problem(get_problem("booth")), (572, 448), id="booth"),
+    pytest.param(
+        lambda: solve(
+            ObjectiveFunction(
+                _nan_at_4_4, BoxDomain(np.array([-5, -5]), np.array([5, 5])), EvalCounter()
+            ),
+            np.array([4, 4]),
+        ),
+        (674, 300), id="nan-anchor",
+    ),
+    pytest.param(
+        lambda: solve_problem(get_problem("booth"), x0=(1, 3)), (527, 448),
+        id="booth-from-its-minimum",
+    ),
+    pytest.param(_solve_at_the_top_int64_bound, (58, 9), id="top-int64-bound"),
+    pytest.param(
+        lambda: solve_problem(get_problem("schaffer-n1"), x0=(51, 91)), (10_668, 8_619),
+        id="schaffer-n1-from-51-91",
+    ),
+])
+def test_memo_off_replays_the_counts_of_every_filled_value_evaluated(
+    run, counts, memo_off
+):
+    # The counts these solves had before filled values were remembered;
+    # the tests above pin them with the memo on.
+    rep = run()
+    assert (rep.n_fu, rep.n_fill) == counts
