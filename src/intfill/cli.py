@@ -116,12 +116,16 @@ def execute_run(spec: dict[str, Any], defaults: dict[str, Any]) -> dict[str, Any
         cfg = _merge_config(defaults, spec.get("config") or {})
         if "start" in spec and "start_pattern" in spec:
             raise ParameterError("give either 'start' or 'start_pattern', not both")
-        if "start_pattern" in spec:
-            start = expand_start_pattern(spec["start_pattern"], problem.dimension)
-        elif "start" in spec:
-            start = point_key(as_int_point(spec["start"]))
-        else:
-            start = problem.default_start
+        key = "start_pattern" if "start_pattern" in spec else "start"
+        try:
+            if key == "start_pattern":
+                start = expand_start_pattern(spec[key], problem.dimension)
+            elif key in spec:
+                start = point_key(as_int_point(spec[key]))
+            else:
+                start = problem.default_start
+        except (ParameterError, DomainError) as exc:
+            raise type(exc)(f"{key}: {exc}") from None
         report = solve_problem(problem, start, cfg)
         record.update(
             n=problem.dimension,
@@ -200,13 +204,22 @@ def _read_config(path: str) -> tuple[dict[str, Any], list[Any]]:
     return defaults, runs
 
 
+def _number(text: str) -> int | float:
+    """``text`` as an int if it spells one, else as a float, the way JSON
+    gives a run spec's coordinates; ``execute_run`` checks them."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     spec: dict[str, Any] = {"problem": args.problem}
     if args.n is not None:
         spec["n"] = args.n
     if args.start:
         try:
-            spec["start"] = [int(v) for v in args.start.split(",")]
+            spec["start"] = [_number(v) for v in args.start.split(",")]
         except ValueError:
             raise ParameterError(f"--start must be integers: {args.start!r}") from None
     defaults = _read_config(args.config)[0] if args.config else {}

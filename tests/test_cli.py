@@ -140,11 +140,12 @@ def test_execute_run_takes_only_starts_that_solve_takes(
     monkeypatch, key, value, message
 ):
     # The run spec's start follows as_int_point, as solve does: a fractional,
-    # bool or string coordinate is a DomainError and nothing is solved.
+    # bool or string coordinate is a DomainError and nothing is solved. The
+    # error names the key that held the start.
     solves = []
     monkeypatch.setattr("intfill.cli.solve_problem", lambda *a: solves.append(a))
     rec = execute_run({"problem": "booth", key: value}, {})
-    assert rec["error"].startswith(message)  # bare: a typed error
+    assert rec["error"].startswith(f"{key}: {message}")  # no type name: a typed error
     assert rec["f_g"] is None and solves == []
 
 
@@ -319,7 +320,7 @@ def test_main_matrix_records_untyped_row_errors(tmp_path, capsys, jobs):
     records = read_records_csv(tmp_path / "bad.csv")
     assert "unknown compass options ['foo']" in records[0]["error"]
     assert "quasi-newton option max_iterations" in records[1]["error"]
-    assert records[2]["error"] == "expected a 1-d point, got shape ()"
+    assert records[2]["error"] == "start_pattern: expected a 1-d point, got shape ()"
     assert records[3]["error"] is None and records[3]["hit"] is True
     assert records[4]["error"] == "run spec must be an object, got 5"
     assert records[5]["error"] == "objective_minimizer_options must be an object, got 5"
@@ -393,6 +394,35 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, command, text, message)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "matrix.csv").exists()
+
+
+@pytest.mark.parametrize("key,value,shape", [
+    ("start", 5, "()"),
+    ("start", [[1, 2]], "(1, 2)"),
+    ("start_pattern", 5, "()"),
+    ("start_pattern", [[1, 2]], "(1, 2)"),
+])
+def test_execute_run_names_the_key_of_a_malformed_start(key, value, shape):
+    rec = execute_run({"problem": "booth", key: value}, {})
+    assert rec["error"] == f"{key}: expected a 1-d point, got shape {shape}"
+    assert rec["f_g"] is None
+
+
+def test_main_run_start_follows_the_run_spec_rule(capsys):
+    # --start takes what a run spec's "start" takes: integral floats solve
+    # from the same point, and a fractional one is the spec's DomainError.
+    assert main(["run", "--problem", "booth", "--start", "1.0,2"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    ref = execute_run({"problem": "booth", "start": [1.0, 2]}, {})
+    assert rec["x0"] == ref["x0"] == [1, 2]
+    assert [rec[c] for c in ("f_g", "n_fu", "n_fill")] == [
+        ref[c] for c in ("f_g", "n_fu", "n_fill")
+    ]
+    assert main(["run", "--problem", "booth", "--start", "1.5,2"]) == 2
+    err = capsys.readouterr().err
+    spec_error = execute_run({"problem": "booth", "start": [1.5, 2]}, {})["error"]
+    assert err == f"error: {spec_error}\n"
+    assert spec_error.startswith("start: non-integral coordinates")
 
 
 def test_main_run_non_integer_start_exits_2(capsys):
