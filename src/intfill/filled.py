@@ -197,25 +197,39 @@ class FilledMemo:
     """Augmented filled values computed around one anchor and anchor value.
 
     Every ``AugmentedFilled`` of that anchor shares the memo: the D1
-    check's and each escape pass's, at whatever margin. An entry is keyed
-    by the margin and the point's ``float64`` bytes and holds the value
-    with its excess ``f(x) - f(anchor)``. The memo keeps at most
-    ``_MEMO_SIZE`` entries and drops the oldest first. A remembered value
-    is the one a new evaluation would give only if the objective returns
-    the same value at the same point every time.
+    check's and each escape pass's. The memo keeps one table per margin,
+    keyed by the point's ``float64`` bytes, and each entry holds the value
+    with its excess ``f(x) - f(anchor)``. Across its tables the memo keeps
+    at most ``_MEMO_SIZE`` entries and drops the oldest first. A remembered
+    value is the one a new evaluation would give only if the objective
+    returns the same value at the same point every time.
     """
 
     def __init__(self, anchor: IntPoint, anchor_value: float) -> None:
         self.anchor = point_key(anchor)
         self.anchor_value = anchor_value
         self.size = _MEMO_SIZE
-        self.entries: collections.OrderedDict = collections.OrderedDict()
+        self.tables: dict[float, collections.OrderedDict] = {}
+        self._order: collections.deque = collections.deque()  # entry tables, oldest first
 
-    def store(self, r: float, key: bytes, value: float, excess: float) -> None:
-        entries = self.entries
-        entries[r, key] = (value, excess)
-        if len(entries) > self.size:
-            entries.popitem(last=False)
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def table(self, r: float) -> collections.OrderedDict:
+        """The entries at margin ``r``: ``x.tobytes() -> (value, excess)``."""
+        if r not in self.tables:
+            self.tables[r] = collections.OrderedDict()
+        return self.tables[r]
+
+    def store(
+        self, table: collections.OrderedDict, key: bytes, value: float, excess: float
+    ) -> None:
+        held = len(table)
+        table[key] = (value, excess)
+        if len(table) > held:
+            self._order.append(table)
+            if len(self._order) > self.size:
+                self._order.popleft().popitem(last=False)
 
 
 class AugmentedFilled:
@@ -232,6 +246,7 @@ class AugmentedFilled:
     def __init__(self, base: InverseSquareFilled, memo: FilledMemo | None = None) -> None:
         self.base = base
         self.memo = memo
+        self._table = None if memo is None else memo.table(base.r)
 
     def __call__(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)  # once, for the raw value and the penalty
@@ -240,20 +255,17 @@ class AugmentedFilled:
         if not all(map(float.is_integer, x.tolist())):  # False for NaN and +-inf
             value += abs(value) * lattice_penalty(x)
         if self.memo is not None:
-            self.memo.store(base.r, x.tobytes(), value, base.excess)
+            self.memo.store(self._table, x.tobytes(), value, base.excess)
         return value
 
     def recall(self, key: bytes) -> float | None:
         """The value remembered at the ``float64`` point whose bytes are
         ``key``, or None. A hit charges nothing, and its excess counts
         toward ``min_excess`` as a new evaluation's would."""
-        if self.memo is None:
-            return None
-        base = self.base
-        hit = self.memo.entries.get((base.r, key))
-        if hit is None:
+        if self._table is None or (hit := self._table.get(key)) is None:
             return None
         value, excess = hit
+        base = self.base
         if excess < base.min_excess:
             base.min_excess = excess
         return value

@@ -369,10 +369,16 @@ def test_the_memo_keeps_its_newest_entries_up_to_its_bound(monkeypatch):
     points = [np.array([float(k), 0.5]) for k in range(5)]
     for k, x in enumerate(points):
         wrapped(x)
-        assert len(memo.entries) == min(k + 1, 3)
+        assert len(memo) == min(k + 1, 3)
     assert [wrapped.recall(x.tobytes()) is None for x in points] == [
         True, True, False, False, False
     ]
+    # The oldest entry goes first whatever its margin.
+    other = AugmentedFilled(InverseSquareFilled(obj, np.array([0, 0]), 0.0, 0.5), memo)
+    other(points[0])
+    assert wrapped.recall(points[2].tobytes()) is None
+    assert other.recall(points[0].tobytes()) is not None
+    assert len(memo) == 3
 
 
 @pytest.mark.parametrize("limit", [0, 1])
@@ -384,7 +390,7 @@ def test_an_evaluation_cut_by_the_budget_stores_nothing(limit):
     wrapped = AugmentedFilled(InverseSquareFilled(obj, np.array([0, 0]), 0.0, 1.0), memo)
     with pytest.raises(BudgetExhausted):
         wrapped(np.array([1.5, 0.0]))
-    assert not memo.entries
+    assert len(memo) == 0 and not any(memo.tables.values())
 
 
 # ---------------------------------------------------------------- params

@@ -790,7 +790,7 @@ def test_the_memo_size_moves_only_the_counters(monkeypatch, size):
 
     def recording(memo, *args):
         store(memo, *args)
-        largest.append(len(memo.entries))
+        largest.append(len(memo))
 
     monkeypatch.setattr(intfill.filled.FilledMemo, "store", recording)
     rep = solve_problem(get_problem("schaffer-n1"), x0=(51, 91))
