@@ -179,6 +179,7 @@ class InverseSquareFilled:
         self.anchor_value = float(anchor_value)
         self.r = float(r)
         self.min_excess = np.inf
+        self.excess = math.nan  # no point evaluated yet
 
     def anchor_filled_value(self) -> float:
         return 2.0
@@ -210,16 +211,15 @@ class FilledMemo:
         self.anchor_value = anchor_value
         self.size = _MEMO_SIZE
         self.tables: dict[float, collections.OrderedDict] = {}
-        self._order: collections.deque = collections.deque()  # entry tables, oldest first
+        # The table of each entry held, oldest entry first.
+        self._order: collections.deque = collections.deque()
 
     def __len__(self) -> int:
         return len(self._order)
 
     def table(self, r: float) -> collections.OrderedDict:
         """The entries at margin ``r``: ``x.tobytes() -> (value, excess)``."""
-        if r not in self.tables:
-            self.tables[r] = collections.OrderedDict()
-        return self.tables[r]
+        return self.tables.setdefault(r, collections.OrderedDict())
 
     def store(
         self, table: collections.OrderedDict, key: bytes, value: float, excess: float
