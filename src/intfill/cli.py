@@ -94,12 +94,6 @@ def config_from_dict(overrides: dict[str, Any] | None) -> SolverConfig:
     return SolverConfig(**data)
 
 
-def _merge_config(defaults: dict[str, Any], per_run: dict[str, Any]) -> SolverConfig:
-    merged = dict(defaults)
-    merged.update(per_run)
-    return config_from_dict(merged)
-
-
 def execute_run(spec: dict[str, Any], defaults: dict[str, Any]) -> dict[str, Any]:
     """Execute one run spec; errors land in the record, not in raises."""
     record: dict[str, Any] = {field: None for field in RECORD_FIELDS}
@@ -113,7 +107,9 @@ def execute_run(spec: dict[str, Any], defaults: dict[str, Any]) -> dict[str, Any
         if unknown:
             raise ParameterError(f"unknown run keys: {sorted(unknown)}")
         problem = get_problem(spec["problem"], spec.get("n"))
-        cfg = _merge_config(defaults, spec.get("config") or {})
+        merged = dict(defaults)
+        merged.update(spec.get("config") or {})
+        cfg = config_from_dict(merged)
         if "start" in spec and "start_pattern" in spec:
             raise ParameterError("give either 'start' or 'start_pattern', not both")
         key = "start_pattern" if "start_pattern" in spec else "start"
@@ -138,7 +134,7 @@ def execute_run(spec: dict[str, Any], defaults: dict[str, Any]) -> dict[str, Any
             known_value=problem.known_value,
             hit=bool(report.f_best <= problem.known_value + HIT_TOLERANCE),
         )
-    except (ParameterError, DomainError, ValueError) as exc:
+    except ValueError as exc:
         record["error"] = str(exc)
     except Exception as exc:
         # Any other failure of one row (say, a bad minimizer option) is

@@ -20,8 +20,9 @@ For searches run in the continuous relaxation, ``AugmentedFilled`` adds
 ``|F(x)| * sum_i sin^2(pi x_i)``, a penalty that vanishes exactly on
 the lattice and pushes minimizers toward integer coordinates; at a
 lattice point it is not computed at all. A ``FilledMemo`` remembers the
-augmented values already computed around one anchor, so that a compass
-walk can reuse them without evaluating the point again.
+augmented values already computed around one anchor at the first-pass
+margin, so that the compass walk of a later first pass can reuse them
+without evaluating the point again.
 """
 from __future__ import annotations
 
@@ -195,41 +196,30 @@ class InverseSquareFilled:
 
 
 class FilledMemo:
-    """Augmented filled values computed around one anchor and anchor value.
+    """Augmented filled values computed around one anchor, at one margin.
 
-    Every ``AugmentedFilled`` of that anchor shares the memo: the D1
-    check's and each escape pass's. The memo keeps one table per margin,
-    keyed by the point's ``float64`` bytes, and each entry holds the value
-    with its excess ``f(x) - f(anchor)``. Across its tables the memo keeps
-    at most ``_MEMO_SIZE`` entries and drops the oldest first. A remembered
-    value is the one a new evaluation would give only if the objective
-    returns the same value at the same point every time.
+    The memo serves the margin ``r`` of the D1 check and of each
+    candidate's first escape pass, and only an ``AugmentedFilled`` at that
+    margin shares it; a retry pass at a smaller margin evaluates every
+    point. ``entries`` maps a point's ``float64`` bytes to its value and
+    its excess ``f(x) - f(anchor)``, and keeps at most ``_MEMO_SIZE`` of
+    them, dropping the oldest first. A remembered value is the one a new
+    evaluation would give only if the objective returns the same value at
+    the same point every time.
     """
 
-    def __init__(self, anchor: IntPoint, anchor_value: float) -> None:
+    def __init__(self, anchor: IntPoint, anchor_value: float, r: float) -> None:
         self.anchor = point_key(anchor)
         self.anchor_value = anchor_value
+        self.r = r
         self.size = _MEMO_SIZE
-        self.tables: dict[float, collections.OrderedDict] = {}
-        # The table of each entry held, oldest entry first.
-        self._order: collections.deque = collections.deque()
+        self.entries: collections.OrderedDict = collections.OrderedDict()
 
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def table(self, r: float) -> collections.OrderedDict:
-        """The entries at margin ``r``: ``x.tobytes() -> (value, excess)``."""
-        return self.tables.setdefault(r, collections.OrderedDict())
-
-    def store(
-        self, table: collections.OrderedDict, key: bytes, value: float, excess: float
-    ) -> None:
-        held = len(table)
-        table[key] = (value, excess)
-        if len(table) > held:
-            self._order.append(table)
-            if len(self._order) > self.size:
-                self._order.popleft().popitem(last=False)
+    def store(self, key: bytes, value: float, excess: float) -> None:
+        entries = self.entries
+        entries[key] = (value, excess)
+        if len(entries) > self.size:
+            entries.popitem(last=False)
 
 
 class AugmentedFilled:
@@ -239,14 +229,14 @@ class AugmentedFilled:
     raw values agree bit for bit there. At a ``float64`` point with every
     coordinate integral, the raw value is returned without computing the
     penalty: ``raw + abs(raw) * 0.0 == raw`` for every value ``raw`` can
-    take (finite or NaN), so skipping it changes no bit. With a ``memo``,
-    each value computed is stored there, and ``recall`` reads it back.
+    take (finite or NaN), so skipping it changes no bit. With a ``memo`` at
+    the base's margin, each value computed is stored there, and ``recall``
+    reads it back; a memo at any other margin is not used.
     """
 
     def __init__(self, base: InverseSquareFilled, memo: FilledMemo | None = None) -> None:
         self.base = base
-        self.memo = memo
-        self._table = None if memo is None else memo.table(base.r)
+        self.memo = memo if memo is not None and memo.r == base.r else None
 
     def __call__(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)  # once, for the raw value and the penalty
@@ -255,14 +245,14 @@ class AugmentedFilled:
         if not all(map(float.is_integer, x.tolist())):  # False for NaN and +-inf
             value += abs(value) * lattice_penalty(x)
         if self.memo is not None:
-            self.memo.store(self._table, x.tobytes(), value, base.excess)
+            self.memo.store(x.tobytes(), value, base.excess)
         return value
 
     def recall(self, key: bytes) -> float | None:
         """The value remembered at the ``float64`` point whose bytes are
         ``key``, or None. A hit charges nothing, and its excess counts
         toward ``min_excess`` as a new evaluation's would."""
-        if self._table is None or (hit := self._table.get(key)) is None:
+        if self.memo is None or (hit := self.memo.entries.get(key)) is None:
             return None
         value, excess = hit
         base = self.base

@@ -38,12 +38,14 @@ ordering, neighborhood argmins, and the objective evaluation embedded
 in each filled value unless the objective's ``count_in_filled`` is off)
 charges ``n_fu``, and every filled evaluation (including the per-escape
 bound check and the D1/DC2 condition checks) charges ``n_fill``. The
-run record keeps one ``FilledMemo`` for the last anchor escaped from,
-shared by that anchor's D1 check and escape passes in every round, and
-replaces it when the anchor or its value changes. A compass escape
-recalls a value from it instead of evaluating the point again, which
-charges nothing and leaves the path of the solve as it was. When the
-combined budget runs out mid-search the run is cut deterministically.
+run record keeps one ``FilledMemo`` for the last anchor escaped from, at
+the margin ``r_max``, shared by that anchor's D1 check and the first
+pass of each candidate in every round, and replaces it when the anchor
+or its value changes. A compass escape recalls a value from it instead
+of evaluating the point again, which charges nothing and leaves the path
+of the solve as it was; a retry pass at a smaller margin evaluates every
+point. When the combined budget runs out mid-search the run is cut
+deterministically.
 
 The run record keeps the best anchor and the best lattice point seen,
 and one exit reads them whether the rounds ran out or the budget cut
@@ -152,7 +154,7 @@ class _RunRecord:
     # best lattice value seen: the start, the anchors and escape landings.
     best_anchor: tuple[IntPoint, float] | None = None
     best_seen: tuple[IntPoint, float] | None = None
-    # Filled values around the last anchor escaped from.
+    # Filled values around the last anchor escaped from, at r_max.
     memo: FilledMemo | None = None
 
     def incumbent(self, start: IntPoint, f_start: float) -> tuple[IntPoint, float]:
@@ -170,12 +172,12 @@ class _RunRecord:
         if self.best_seen is None or _beats(v, self.best_seen[1]):
             self.best_seen = (np.array(x), v)
 
-    def filled_memo(self, anchor: IntPoint, value: float) -> FilledMemo:
-        """The memo of ``anchor`` at ``value``: the current one, or a new
-        one that replaces it once the anchor or its value has changed."""
-        memo = self.memo
-        if memo is None or (memo.anchor, memo.anchor_value) != (point_key(anchor), value):
-            memo = self.memo = FilledMemo(anchor, value)
+    def filled_memo(self, anchor: IntPoint, value: float, r: float) -> FilledMemo:
+        """The memo of ``anchor`` at ``value`` and margin ``r``: the current
+        one, or a new one that replaces it once any of them has changed."""
+        memo, key = self.memo, (point_key(anchor), value, r)
+        if memo is None or (memo.anchor, memo.anchor_value, memo.r) != key:
+            memo = self.memo = FilledMemo(anchor, value, r)
         return memo
 
     def log(self, counter: EvalCounter, kind: str, **fields: Any) -> None:
@@ -200,7 +202,7 @@ def _escape(
     """
     box = obj.box
     neighbors = neighborhood(x_star, box)[:-1]
-    memo = rec.filled_memo(x_star, f_star)
+    memo = rec.filled_memo(x_star, f_star, params.r_max)
     # The anchor's own filled value is a constant of the construction;
     # every neighbor must fall strictly below it.
     d1 = AugmentedFilled(InverseSquareFilled(obj, x_star, f_star, params.r_max), memo)

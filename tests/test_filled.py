@@ -344,7 +344,7 @@ def test_recall_folds_a_negative_stored_excess_into_min_excess():
     # FilledParams.next_margin gets the same min_excess from it.
     obj = make_objective()
     anchor = np.array([2, 2])
-    memo = FilledMemo(anchor, 2.0)
+    memo = FilledMemo(anchor, 2.0, 1.0)
     first = AugmentedFilled(InverseSquareFilled(obj, anchor, 2.0, 1.0), memo)
     x = np.array([0.5, 1.0])  # f = 1.25, excess -0.75
     value = first(x)
@@ -364,21 +364,23 @@ def test_recall_folds_a_negative_stored_excess_into_min_excess():
 def test_the_memo_keeps_its_newest_entries_up_to_its_bound(monkeypatch):
     monkeypatch.setattr(intfill.filled, "_MEMO_SIZE", 3)
     obj = make_objective()
-    memo = FilledMemo(np.array([0, 0]), 0.0)
+    memo = FilledMemo(np.array([0, 0]), 0.0, 1.0)
     wrapped = AugmentedFilled(InverseSquareFilled(obj, np.array([0, 0]), 0.0, 1.0), memo)
     points = [np.array([float(k), 0.5]) for k in range(5)]
     for k, x in enumerate(points):
         wrapped(x)
-        assert len(memo) == min(k + 1, 3)
+        assert len(memo.entries) == min(k + 1, 3)
     assert [wrapped.recall(x.tobytes()) is None for x in points] == [
         True, True, False, False, False
     ]
-    # The oldest entry goes first whatever its margin.
+    # A function at another margin charges its evaluation and stores
+    # nothing, so it evicts none of the memo's entries.
     other = AugmentedFilled(InverseSquareFilled(obj, np.array([0, 0]), 0.0, 0.5), memo)
+    charged = obj.counter.total()
     other(points[0])
-    assert wrapped.recall(points[2].tobytes()) is None
-    assert other.recall(points[0].tobytes()) is not None
-    assert len(memo) == 3
+    assert obj.counter.total() > charged
+    assert len(memo.entries) == 3
+    assert wrapped.recall(points[2].tobytes()) is not None
 
 
 @pytest.mark.parametrize("limit", [0, 1])
@@ -386,11 +388,11 @@ def test_an_evaluation_cut_by_the_budget_stores_nothing(limit):
     # limit 0 stops the filled charge, limit 1 the embedded objective's.
     obj = make_objective()
     obj.counter.limit = limit
-    memo = FilledMemo(np.array([0, 0]), 0.0)
+    memo = FilledMemo(np.array([0, 0]), 0.0, 1.0)
     wrapped = AugmentedFilled(InverseSquareFilled(obj, np.array([0, 0]), 0.0, 1.0), memo)
     with pytest.raises(BudgetExhausted):
         wrapped(np.array([1.5, 0.0]))
-    assert len(memo) == 0 and not any(memo.tables.values())
+    assert not memo.entries
 
 
 # ---------------------------------------------------------------- params

@@ -743,7 +743,7 @@ def test_compass_recalls_remembered_values_without_charging_them():
     box = BoxDomain(np.array([-5, -4]), np.array([5, 6]))
     obj = ObjectiveFunction(lambda x: float(x @ x) - x[0], box, EvalCounter())
     anchor = np.array([3, 3])
-    memo = FilledMemo(anchor, obj(anchor))
+    memo = FilledMemo(anchor, obj(anchor), 1.0)
     compass = CompassSearch(step_tol=0.1)
     walks = []
     for _ in range(2):

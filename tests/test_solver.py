@@ -772,11 +772,11 @@ def test_filled_minimizer_is_built_once_per_inner_search():
 
 def test_the_run_record_keeps_one_memo_per_anchor_and_value():
     rec = intfill.solver._RunRecord()
-    memo = rec.filled_memo(np.array([1, 3]), 0.0)
-    assert rec.filled_memo(np.array([1, 3]), 0.0) is memo
-    assert rec.filled_memo(np.array([1, 4]), 0.0) is not memo
-    memo = rec.filled_memo(np.array([1, 4]), 0.0)
-    assert rec.filled_memo(np.array([1, 4]), 0.5) is not memo
+    memo = rec.filled_memo(np.array([1, 3]), 0.0, 1.0)
+    assert rec.filled_memo(np.array([1, 3]), 0.0, 1.0) is memo
+    assert rec.filled_memo(np.array([1, 4]), 0.0, 1.0) is not memo
+    memo = rec.filled_memo(np.array([1, 4]), 0.0, 1.0)
+    assert rec.filled_memo(np.array([1, 4]), 0.5, 1.0) is not memo
 
 
 @pytest.mark.parametrize("size", [0, 1, 64])
@@ -790,7 +790,7 @@ def test_the_memo_size_moves_only_the_counters(monkeypatch, size):
 
     def recording(memo, *args):
         store(memo, *args)
-        largest.append(len(memo))
+        largest.append(len(memo.entries))
 
     monkeypatch.setattr(intfill.filled.FilledMemo, "store", recording)
     rep = solve_problem(get_problem("schaffer-n1"), x0=(51, 91))
