@@ -169,7 +169,7 @@ def get_problem(name: str, n: int | None = None) -> BenchmarkProblem:
     """Build a table problem at dimension ``n`` (None: its default)."""
     try:
         dim, scalable, lo, hi, minimizer, start, value, divisor = _TABLE[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         known = ", ".join(_TABLE)
         raise ParameterError(f"unknown problem {name!r}; known: {known}") from None
     if n is not None:

@@ -107,9 +107,10 @@ def execute_run(spec: dict[str, Any], defaults: dict[str, Any]) -> dict[str, Any
         if unknown:
             raise ParameterError(f"unknown run keys: {sorted(unknown)}")
         problem = get_problem(spec["problem"], spec.get("n"))
-        merged = dict(defaults)
-        merged.update(spec.get("config") or {})
-        cfg = config_from_dict(merged)
+        config = spec.get("config", {})
+        if not isinstance(config, dict):
+            raise ParameterError(f"config must be an object, got {config!r}")
+        cfg = config_from_dict({**defaults, **config})
         if "start" in spec and "start_pattern" in spec:
             raise ParameterError("give either 'start' or 'start_pattern', not both")
         key = "start_pattern" if "start_pattern" in spec else "start"
@@ -143,24 +144,16 @@ def execute_run(spec: dict[str, Any], defaults: dict[str, Any]) -> dict[str, Any
     return record
 
 
-def _csv_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, list):
-        return json.dumps(value)
-    return str(value)
-
-
 def write_csv(records: Sequence[dict[str, Any]], path: Path) -> None:
+    # csv writes None as an empty cell and a float with repr.
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_FIELDS)
         for rec in records:
-            writer.writerow([_csv_cell(rec[f]) for f in RECORD_FIELDS])
+            writer.writerow(
+                json.dumps(v) if isinstance(v, (bool, list)) else v
+                for v in (rec[f] for f in RECORD_FIELDS)
+            )
 
 
 def write_json(records: Sequence[dict[str, Any]], path: Path) -> None:
@@ -200,23 +193,14 @@ def _read_config(path: str) -> tuple[dict[str, Any], list[Any]]:
     return defaults, runs
 
 
-def _number(text: str) -> int | float:
-    """``text`` as an int if it spells one, else as a float, the way JSON
-    gives a run spec's coordinates; ``execute_run`` checks them."""
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     spec: dict[str, Any] = {"problem": args.problem}
     if args.n is not None:
         spec["n"] = args.n
     if args.start:
-        try:
-            spec["start"] = [_number(v) for v in args.start.split(",")]
-        except ValueError:
+        try:  # read as a run spec's start is; execute_run checks it
+            spec["start"] = json.loads(f"[{args.start}]")
+        except (ValueError, RecursionError):  # RecursionError: nested too deep
             raise ParameterError(f"--start must be integers: {args.start!r}") from None
     defaults = _read_config(args.config)[0] if args.config else {}
     record = execute_run(spec, defaults)

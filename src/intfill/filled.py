@@ -19,10 +19,10 @@ more, so minimizing it drains trajectories into improving regions.
 For searches run in the continuous relaxation, ``AugmentedFilled`` adds
 ``|F(x)| * sum_i sin^2(pi x_i)``, a penalty that vanishes exactly on
 the lattice and pushes minimizers toward integer coordinates; at a
-lattice point it is not computed at all. A ``FilledMemo`` remembers the
-augmented values already computed around one anchor at the first-pass
-margin, so that the compass walk of a later first pass can reuse them
-without evaluating the point again.
+lattice point it is not computed at all. Given a memo, ``AugmentedFilled``
+remembers the values it computes, and a compass walk over the same memo
+reuses them without evaluating the point again. The escape pass hands its
+memo to the D1 check and to each candidate's first pass, none to a retry.
 """
 from __future__ import annotations
 
@@ -33,12 +33,13 @@ import math
 import numpy as np
 
 from .core import IntPoint, ObjectiveFunction, ParameterError
-from .core import as_real_point, check_numbers, point_key
+from .core import as_real_point, check_numbers
 
 
 _TINY = float(np.finfo(float).tiny)
-# Entries one FilledMemo keeps, the oldest dropped first. A solve keeps one
-# memo at a time, so this bounds the memory that remembered values take.
+ANCHOR_FILLED = 2.0  # the filled value at the anchor: envelope 2, gate 1
+# Entries a memo keeps, the oldest dropped first. A solve keeps one memo at
+# a time, so this bounds the memory that remembered values take.
 _MEMO_SIZE = 4096
 
 
@@ -161,8 +162,7 @@ class InverseSquareFilled:
     evaluation it performs, and keeps ``min_excess`` (``inf`` at first),
     the lowest ``f(x) - f(anchor)`` seen, for ``FilledParams.next_margin``,
     and ``excess``, that difference at the last point it evaluated.
-    The anchor's own filled value is a constant of the construction
-    (envelope 2, gate 1) and is exposed without charging anything.
+    Its value at the anchor is ``ANCHOR_FILLED``.
     """
 
     def __init__(
@@ -182,9 +182,6 @@ class InverseSquareFilled:
         self.min_excess = np.inf
         self.excess = math.nan  # no point evaluated yet
 
-    def anchor_filled_value(self) -> float:
-        return 2.0
-
     def raw(self, x: np.ndarray) -> float:
         self.objective.counter.charge_filled()
         x = np.asarray(x, dtype=float)  # once, for the objective and the envelope
@@ -195,33 +192,6 @@ class InverseSquareFilled:
         return filled_value(x, self._anchor_real, self.anchor_value, fx, self.r)
 
 
-class FilledMemo:
-    """Augmented filled values computed around one anchor, at one margin.
-
-    The memo serves the margin ``r`` of the D1 check and of each
-    candidate's first escape pass, and only an ``AugmentedFilled`` at that
-    margin shares it; a retry pass at a smaller margin evaluates every
-    point. ``entries`` maps a point's ``float64`` bytes to its value and
-    its excess ``f(x) - f(anchor)``, and keeps at most ``_MEMO_SIZE`` of
-    them, dropping the oldest first. A remembered value is the one a new
-    evaluation would give only if the objective returns the same value at
-    the same point every time.
-    """
-
-    def __init__(self, anchor: IntPoint, anchor_value: float, r: float) -> None:
-        self.anchor = point_key(anchor)
-        self.anchor_value = anchor_value
-        self.r = r
-        self.size = _MEMO_SIZE
-        self.entries: collections.OrderedDict = collections.OrderedDict()
-
-    def store(self, key: bytes, value: float, excess: float) -> None:
-        entries = self.entries
-        entries[key] = (value, excess)
-        if len(entries) > self.size:
-            entries.popitem(last=False)
-
-
 class AugmentedFilled:
     """Filled value plus the lattice-attracting penalty.
 
@@ -229,14 +199,19 @@ class AugmentedFilled:
     raw values agree bit for bit there. At a ``float64`` point with every
     coordinate integral, the raw value is returned without computing the
     penalty: ``raw + abs(raw) * 0.0 == raw`` for every value ``raw`` can
-    take (finite or NaN), so skipping it changes no bit. With a ``memo`` at
-    the base's margin, each value computed is stored there, and ``recall``
-    reads it back; a memo at any other margin is not used.
+    take (finite or NaN), so skipping it changes no bit. Given a ``memo``,
+    it stores each value with its excess ``f(x) - f(anchor)`` under the
+    point's ``float64`` bytes, keeping the newest ``_MEMO_SIZE``, and
+    ``recall`` reads them back. Only filled functions of one anchor, anchor
+    value and margin may share a memo, and only if the objective gives the
+    same value at the same point every time.
     """
 
-    def __init__(self, base: InverseSquareFilled, memo: FilledMemo | None = None) -> None:
+    def __init__(
+        self, base: InverseSquareFilled, memo: collections.OrderedDict | None = None
+    ) -> None:
         self.base = base
-        self.memo = memo if memo is not None and memo.r == base.r else None
+        self.memo = memo
 
     def __call__(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)  # once, for the raw value and the penalty
@@ -244,15 +219,17 @@ class AugmentedFilled:
         value = base.raw(x)
         if not all(map(float.is_integer, x.tolist())):  # False for NaN and +-inf
             value += abs(value) * lattice_penalty(x)
-        if self.memo is not None:
-            self.memo.store(x.tobytes(), value, base.excess)
+        if (memo := self.memo) is not None:
+            memo[x.tobytes()] = (value, base.excess)
+            if len(memo) > _MEMO_SIZE:
+                memo.popitem(last=False)
         return value
 
     def recall(self, key: bytes) -> float | None:
         """The value remembered at the ``float64`` point whose bytes are
         ``key``, or None. A hit charges nothing, and its excess counts
         toward ``min_excess`` as a new evaluation's would."""
-        if self.memo is None or (hit := self.memo.entries.get(key)) is None:
+        if self.memo is None or (hit := self.memo.get(key)) is None:
             return None
         value, excess = hit
         base = self.base

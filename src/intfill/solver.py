@@ -38,13 +38,13 @@ ordering, neighborhood argmins, and the objective evaluation embedded
 in each filled value unless the objective's ``count_in_filled`` is off)
 charges ``n_fu``, and every filled evaluation (including the per-escape
 bound check and the D1/DC2 condition checks) charges ``n_fill``. The
-run record keeps one ``FilledMemo`` for the last anchor escaped from, at
-the margin ``r_max``, shared by that anchor's D1 check and the first
-pass of each candidate in every round, and replaces it when the anchor
-or its value changes. A compass escape recalls a value from it instead
-of evaluating the point again, which charges nothing and leaves the path
-of the solve as it was; a retry pass at a smaller margin evaluates every
-point. When the combined budget runs out mid-search the run is cut
+run record keeps one memo of filled values for the last anchor escaped
+from and its value. The escape pass hands it to the D1 check and to each
+candidate's first pass, all at ``r_max``, in every round; a retry pass
+at a smaller margin gets none and evaluates every point. A compass
+escape recalls a value from the memo instead of evaluating the point
+again, which charges nothing and leaves the path of the solve as it
+was. When the combined budget runs out mid-search the run is cut
 deterministically.
 
 The run record keeps the best anchor and the best lattice point seen,
@@ -57,6 +57,7 @@ minimizer on every path.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import time
@@ -82,9 +83,9 @@ from .core import (
     round_point,
 )
 from .filled import (
+    ANCHOR_FILLED,
     AugmentedFilled,
     BoundCheck,
-    FilledMemo,
     FilledParams,
     InverseSquareFilled,
     rounding_error_check,
@@ -154,8 +155,9 @@ class _RunRecord:
     # best lattice value seen: the start, the anchors and escape landings.
     best_anchor: tuple[IntPoint, float] | None = None
     best_seen: tuple[IntPoint, float] | None = None
-    # Filled values around the last anchor escaped from, at r_max.
-    memo: FilledMemo | None = None
+    # Filled values around the last anchor escaped from, and (anchor, value).
+    memo: collections.OrderedDict | None = None
+    memo_key: tuple | None = None
 
     def incumbent(self, start: IntPoint, f_start: float) -> tuple[IntPoint, float]:
         """Where an outer round starts: the best anchor once it beats the start."""
@@ -172,13 +174,13 @@ class _RunRecord:
         if self.best_seen is None or _beats(v, self.best_seen[1]):
             self.best_seen = (np.array(x), v)
 
-    def filled_memo(self, anchor: IntPoint, value: float, r: float) -> FilledMemo:
-        """The memo of ``anchor`` at ``value`` and margin ``r``: the current
-        one, or a new one that replaces it once any of them has changed."""
-        memo, key = self.memo, (point_key(anchor), value, r)
-        if memo is None or (memo.anchor, memo.anchor_value, memo.r) != key:
-            memo = self.memo = FilledMemo(anchor, value, r)
-        return memo
+    def filled_memo(self, anchor: IntPoint, value: float) -> collections.OrderedDict:
+        """The memo of ``anchor`` at ``value``: the current one, or a new
+        one that replaces it once either has changed."""
+        key = (point_key(anchor), value)
+        if self.memo_key != key:
+            self.memo, self.memo_key = collections.OrderedDict(), key
+        return self.memo
 
     def log(self, counter: EvalCounter, kind: str, **fields: Any) -> None:
         self.events.append(
@@ -202,19 +204,18 @@ def _escape(
     """
     box = obj.box
     neighbors = neighborhood(x_star, box)[:-1]
-    memo = rec.filled_memo(x_star, f_star, params.r_max)
-    # The anchor's own filled value is a constant of the construction;
-    # every neighbor must fall strictly below it.
+    # The D1 check and each first pass, all at r_max, share the memo; no
+    # recall was ever measured at a retry margin, so a retry gets none.
+    memo = rec.filled_memo(x_star, f_star)
     d1 = AugmentedFilled(InverseSquareFilled(obj, x_star, f_star, params.r_max), memo)
-    anchor_filled = d1.base.anchor_filled_value()
     worst = -np.inf
     for nb in neighbors:
         worst = max(worst, d1(nb))
     rec.d1_checks.append(
         {
             "anchor": point_key(x_star),
-            "passed": bool(worst < anchor_filled),
-            "anchor_filled": anchor_filled,
+            "passed": bool(worst < ANCHOR_FILLED),
+            "anchor_filled": ANCHOR_FILLED,
             "max_neighbor_filled": worst,
         }
     )
@@ -222,9 +223,9 @@ def _escape(
         r = params.r_max
         while r is not None:
             filled = InverseSquareFilled(obj, x_star, f_star, r)
-            target = AugmentedFilled(filled, memo)
+            target = AugmentedFilled(filled, memo if r == params.r_max else None)
             x_esc, walk = escape.minimize(target, candidate, box)
-            check = rounding_error_check(anchor_filled, filled.raw(x_esc), x_esc)
+            check = rounding_error_check(ANCHOR_FILLED, filled.raw(x_esc), x_esc)
             rec.bound_checks.append(check)
             x_landed = box.clamp(round_point(x_esc))
             x_prime, f_prime = neighborhood_argmin(obj, x_landed, box)

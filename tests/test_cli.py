@@ -186,6 +186,20 @@ def test_execute_run_records_malformed_count_as_parameter_error():
     assert rec["f_g"] is None
 
 
+@pytest.mark.parametrize("name", [["booth"], {"booth": 1}, 5, None])
+def test_execute_run_records_a_problem_name_that_is_not_in_the_table(name):
+    rec = execute_run({"problem": name}, {})
+    assert rec["error"].startswith(f"unknown problem {name!r}; known: ")
+    assert rec["f_g"] is None
+
+
+@pytest.mark.parametrize("config", [5, [1], 0, [], "x", None])
+def test_execute_run_rejects_a_config_that_is_not_an_object(config):
+    rec = execute_run({"problem": "booth", "config": config}, {})
+    assert rec["error"] == f"config must be an object, got {config!r}"
+    assert rec["f_g"] is None
+
+
 def test_hit_tolerance_is_tight():
     assert HIT_TOLERANCE == 1e-9
 
@@ -326,6 +340,28 @@ def test_main_matrix_records_untyped_row_errors(tmp_path, capsys, jobs):
     assert records[5]["error"] == "objective_minimizer_options must be an object, got 5"
 
 
+def test_main_matrix_records_malformed_problems_and_configs(tmp_path, capsys):
+    # A problem name that is not a string and a config that is not an
+    # object are the run's ParameterError, recorded in its row.
+    config = {
+        "runs": [
+            {"problem": ["booth"]},
+            {"problem": "booth", "config": [1]},
+            {"problem": "booth", "config": 0},
+            {"problem": "booth"},
+        ],
+    }
+    cfg_path = tmp_path / "runs.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["matrix", str(cfg_path), "--output-dir", str(tmp_path)]) == 0
+    assert "hit rate: 1/4 (3 errors)" in capsys.readouterr().out
+    records = read_records_csv(tmp_path / "matrix.csv")
+    assert records[0]["error"].startswith("unknown problem ['booth']; known: ")
+    assert records[1]["error"] == "config must be an object, got [1]"
+    assert records[2]["error"] == "config must be an object, got 0"
+    assert records[3]["error"] is None and records[3]["hit"] is True
+
+
 def test_main_matrix_deterministic_tables(tmp_path):
     config = {"runs": [{"problem": "booth"}, {"problem": "three-hump-camel"}]}
     cfg_path = tmp_path / "runs.json"
@@ -429,3 +465,14 @@ def test_main_run_non_integer_start_exits_2(capsys):
     assert main(["run", "--problem", "booth", "--start", "1,a"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --start must be integers")
+
+
+@pytest.mark.parametrize("start", [
+    "1_000,2", "+1,2", "0x1,2", "nan,2",
+    pytest.param("[" * 5000 + "]" * 5000, id="nested"),
+])
+def test_main_run_start_is_read_as_a_json_list(capsys, start):
+    # --start is a run spec's start list without its brackets, so Python
+    # spellings that JSON does not have exit 2 as they would in a spec.
+    assert main(["run", "--problem", "booth", "--start", start]) == 2
+    assert capsys.readouterr().err.startswith("error: --start must be integers")

@@ -1,4 +1,5 @@
 """Tests for the filled-function construction and its safeguards."""
+import collections
 import struct
 
 import numpy as np
@@ -14,8 +15,8 @@ from intfill.core import (
     ParameterError,
 )
 from intfill.filled import (
+    ANCHOR_FILLED,
     AugmentedFilled,
-    FilledMemo,
     FilledParams,
     InverseSquareFilled,
     filled_value,
@@ -211,11 +212,15 @@ def make_objective(func=None, lo=-5, hi=5, n=2, count_in_filled=True):
     return ObjectiveFunction(func, box, EvalCounter(), count_in_filled)
 
 
-def test_inverse_square_anchor_value_uncharged():
-    obj = make_objective()
-    ff = InverseSquareFilled(obj, np.array([0, 0]), 0.0, 1.0)
-    assert ff.anchor_filled_value() == 2.0
-    assert obj.counter.total() == 0
+def test_raw_at_the_anchor_is_the_anchor_filled_constant():
+    # The D1 and bound checks read ANCHOR_FILLED instead of evaluating the
+    # anchor; evaluating it gives the same value, charged as any point is.
+    anchor = np.array([1, -2])
+    for r in R_VALUES:
+        obj = make_objective()
+        ff = InverseSquareFilled(obj, anchor, obj(anchor), r)
+        assert ff.raw(anchor) == ANCHOR_FILLED
+        assert (obj.counter.n_fu, obj.counter.n_fill) == (2, 1)
 
 
 def test_inverse_square_raw_charges_both_counters():
@@ -344,7 +349,7 @@ def test_recall_folds_a_negative_stored_excess_into_min_excess():
     # FilledParams.next_margin gets the same min_excess from it.
     obj = make_objective()
     anchor = np.array([2, 2])
-    memo = FilledMemo(anchor, 2.0, 1.0)
+    memo = collections.OrderedDict()
     first = AugmentedFilled(InverseSquareFilled(obj, anchor, 2.0, 1.0), memo)
     x = np.array([0.5, 1.0])  # f = 1.25, excess -0.75
     value = first(x)
@@ -354,33 +359,22 @@ def test_recall_folds_a_negative_stored_excess_into_min_excess():
     assert second.recall(x.tobytes()) == value
     assert second.base.min_excess == -0.75
     assert obj.counter.total() == charged
-    # A pass at another margin, or without a memo, remembers nothing.
-    other = AugmentedFilled(InverseSquareFilled(obj, anchor, 2.0, 0.5), memo)
-    assert other.recall(x.tobytes()) is None
-    assert other.base.min_excess == np.inf
+    # A pass without a memo remembers nothing.
     assert AugmentedFilled(second.base).recall(x.tobytes()) is None
 
 
 def test_the_memo_keeps_its_newest_entries_up_to_its_bound(monkeypatch):
     monkeypatch.setattr(intfill.filled, "_MEMO_SIZE", 3)
     obj = make_objective()
-    memo = FilledMemo(np.array([0, 0]), 0.0, 1.0)
+    memo = collections.OrderedDict()
     wrapped = AugmentedFilled(InverseSquareFilled(obj, np.array([0, 0]), 0.0, 1.0), memo)
     points = [np.array([float(k), 0.5]) for k in range(5)]
     for k, x in enumerate(points):
         wrapped(x)
-        assert len(memo.entries) == min(k + 1, 3)
+        assert len(memo) == min(k + 1, 3)
     assert [wrapped.recall(x.tobytes()) is None for x in points] == [
         True, True, False, False, False
     ]
-    # A function at another margin charges its evaluation and stores
-    # nothing, so it evicts none of the memo's entries.
-    other = AugmentedFilled(InverseSquareFilled(obj, np.array([0, 0]), 0.0, 0.5), memo)
-    charged = obj.counter.total()
-    other(points[0])
-    assert obj.counter.total() > charged
-    assert len(memo.entries) == 3
-    assert wrapped.recall(points[2].tobytes()) is not None
 
 
 @pytest.mark.parametrize("limit", [0, 1])
@@ -388,11 +382,11 @@ def test_an_evaluation_cut_by_the_budget_stores_nothing(limit):
     # limit 0 stops the filled charge, limit 1 the embedded objective's.
     obj = make_objective()
     obj.counter.limit = limit
-    memo = FilledMemo(np.array([0, 0]), 0.0, 1.0)
+    memo = collections.OrderedDict()
     wrapped = AugmentedFilled(InverseSquareFilled(obj, np.array([0, 0]), 0.0, 1.0), memo)
     with pytest.raises(BudgetExhausted):
         wrapped(np.array([1.5, 0.0]))
-    assert not memo.entries
+    assert not memo
 
 
 # ---------------------------------------------------------------- params

@@ -1,4 +1,5 @@
 """Tests for the continuous minimizers and discrete descent."""
+import collections
 import dataclasses
 import itertools
 
@@ -12,7 +13,7 @@ from intfill.core import (
     ObjectiveFunction,
     ParameterError,
 )
-from intfill.filled import AugmentedFilled, FilledMemo, InverseSquareFilled
+from intfill.filled import AugmentedFilled, InverseSquareFilled
 from intfill.local_search import (
     _ARMIJO_C1,
     _BACKTRACK_FACTOR,
@@ -743,11 +744,11 @@ def test_compass_recalls_remembered_values_without_charging_them():
     box = BoxDomain(np.array([-5, -4]), np.array([5, 6]))
     obj = ObjectiveFunction(lambda x: float(x @ x) - x[0], box, EvalCounter())
     anchor = np.array([3, 3])
-    memo = FilledMemo(anchor, obj(anchor), 1.0)
+    anchor_value, memo = obj(anchor), collections.OrderedDict()
     compass = CompassSearch(step_tol=0.1)
     walks = []
     for _ in range(2):
-        fn = AugmentedFilled(InverseSquareFilled(obj, anchor, memo.anchor_value, 1.0), memo)
+        fn = AugmentedFilled(InverseSquareFilled(obj, anchor, anchor_value, 1.0), memo)
         before = obj.counter.total()
         x, trace = compass.minimize(fn, np.array([3, 4]), box)
         walks.append((x.tobytes(), trace, fn.base.min_excess, obj.counter.total() - before))

@@ -1,4 +1,5 @@
 """Tests for the escape loop, restart wrapper, and accounting."""
+import collections
 import dataclasses
 import hashlib
 import json
@@ -17,7 +18,7 @@ from intfill.core import (
     ParameterError,
     is_discrete_local_min,
 )
-from intfill.filled import lattice_penalty
+from intfill.filled import AugmentedFilled, FilledParams, lattice_penalty
 from intfill.local_search import MINIMIZERS, CompassSearch, make_minimizer
 from intfill.solver import (
     SolverConfig,
@@ -772,11 +773,44 @@ def test_filled_minimizer_is_built_once_per_inner_search():
 
 def test_the_run_record_keeps_one_memo_per_anchor_and_value():
     rec = intfill.solver._RunRecord()
-    memo = rec.filled_memo(np.array([1, 3]), 0.0, 1.0)
-    assert rec.filled_memo(np.array([1, 3]), 0.0, 1.0) is memo
-    assert rec.filled_memo(np.array([1, 4]), 0.0, 1.0) is not memo
-    memo = rec.filled_memo(np.array([1, 4]), 0.0, 1.0)
-    assert rec.filled_memo(np.array([1, 4]), 0.5, 1.0) is not memo
+    memo = rec.filled_memo(np.array([1, 3]), 0.0)
+    assert rec.filled_memo(np.array([1, 3]), 0.0) is memo
+    assert rec.filled_memo(np.array([1, 4]), 0.0) is not memo
+    memo = rec.filled_memo(np.array([1, 4]), 0.0)
+    assert rec.filled_memo(np.array([1, 4]), 0.5) is not memo
+
+
+def test_only_the_d1_check_and_first_passes_share_the_memo(monkeypatch):
+    # schaffer-n1 from (8, 2) retries one candidate at a margin below
+    # r_max. The D1 check and every first pass, all at r_max, hold the
+    # escape's memo; the retry holds none, and no value its walk computes
+    # enters the memo.
+    r_max = FilledParams().r_max
+    built, calling, stored_at = [], [], []
+
+    class Memo(collections.OrderedDict):
+        def __setitem__(self, key, value):
+            stored_at.append(calling[-1].base.r)
+            super().__setitem__(key, value)
+
+    init, call = AugmentedFilled.__init__, AugmentedFilled.__call__
+
+    def recording_init(fn, base, memo=None):
+        init(fn, base, memo)
+        built.append(fn)
+
+    def recording_call(fn, x):
+        calling.append(fn)
+        return call(fn, x)
+
+    monkeypatch.setattr(AugmentedFilled, "__init__", recording_init)
+    monkeypatch.setattr(AugmentedFilled, "__call__", recording_call)
+    monkeypatch.setattr(intfill.solver._RunRecord, "filled_memo", lambda *_: Memo())
+    solve_problem(get_problem("schaffer-n1"), x0=(8, 2))
+    retries = [fn for fn in built if fn.base.r < r_max]
+    assert retries and any(fn in retries for fn in calling)
+    assert all((fn.memo is not None) == (fn.base.r == r_max) for fn in built)
+    assert stored_at and set(stored_at) == {r_max}
 
 
 @pytest.mark.parametrize("size", [0, 1, 64])
@@ -786,13 +820,15 @@ def test_the_memo_size_moves_only_the_counters(monkeypatch, size):
     # memo never holds more than its bound.
     monkeypatch.setattr(intfill.filled, "_MEMO_SIZE", size)
     largest = []
-    store = intfill.filled.FilledMemo.store
+    call = AugmentedFilled.__call__
 
-    def recording(memo, *args):
-        store(memo, *args)
-        largest.append(len(memo.entries))
+    def recording(fn, x):
+        value = call(fn, x)
+        if fn.memo is not None:
+            largest.append(len(fn.memo))
+        return value
 
-    monkeypatch.setattr(intfill.filled.FilledMemo, "store", recording)
+    monkeypatch.setattr(AugmentedFilled, "__call__", recording)
     rep = solve_problem(get_problem("schaffer-n1"), x0=(51, 91))
     assert report_digest(rep, drop=COUNTERS) == "04267b62432690fe"
     assert max(largest) == size
