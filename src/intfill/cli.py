@@ -32,9 +32,8 @@ parsing a table reproduces the in-memory values exactly.
 
 The output directory is taken from ``--output-dir``, else the
 ``INTFILL_OUTPUT_DIR`` environment variable, else the current
-directory. Matrix rows run sequentially by default; ``--jobs N`` opts
-in to process-level parallelism with per-row counters (row order in the
-output is preserved either way).
+directory. ``matrix`` takes a config file or ``--builtin appendix``,
+not both, and runs its rows in order in the calling process.
 """
 from __future__ import annotations
 
@@ -44,7 +43,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -138,8 +136,8 @@ def execute_run(spec: dict[str, Any], defaults: dict[str, Any]) -> dict[str, Any
     except ValueError as exc:
         record["error"] = str(exc)
     except Exception as exc:
-        # Any other failure of one row (say, a bad minimizer option) is
-        # recorded too, so that it cannot abort the rest of a batch.
+        # Any other failure of one row is recorded too, so that it cannot
+        # abort the rest of a batch.
         record["error"] = f"{type(exc).__name__}: {exc}"
     return record
 
@@ -181,7 +179,7 @@ def _read_config(path: str) -> tuple[dict[str, Any], list[Any]]:
     """The ``defaults`` and ``runs`` of a config file, checked for shape."""
     try:
         doc = json.loads(Path(path).read_text())
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise ParameterError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParameterError(f"{path}: the top level must be an object")
@@ -213,19 +211,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    if args.builtin == "appendix":
-        specs = _appendix_specs()
-        defaults: dict[str, Any] = {}
-    elif args.config:
+    if args.builtin:
+        defaults, specs = {}, _appendix_specs()
+    else:
         defaults, specs = _read_config(args.config)
-    else:
-        sys.stderr.write("matrix needs a config file or --builtin appendix\n")
-        return 2
-    if args.jobs > 1 and specs:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(execute_run, specs, [defaults] * len(specs)))
-    else:
-        records = [execute_run(spec, defaults) for spec in specs]
+    records = [execute_run(spec, defaults) for spec in specs]
     out_dir = _output_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = args.name
@@ -290,11 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_mat = sub.add_parser("matrix", help="run a batch and emit CSV/JSON")
-    p_mat.add_argument("config", nargs="?", help="JSON config file")
-    p_mat.add_argument("--builtin", choices=["appendix"], default=None)
+    source = p_mat.add_mutually_exclusive_group(required=True)
+    source.add_argument("config", nargs="?", help="JSON config file")
+    source.add_argument("--builtin", choices=["appendix"], default=None)
     p_mat.add_argument("--name", default="matrix", help="output file stem")
     p_mat.add_argument("--output-dir", default=None)
-    p_mat.add_argument("--jobs", type=int, default=1)
     p_mat.set_defaults(func=_cmd_matrix)
 
     p_or = sub.add_parser("oracle", help="brute-force a problem")
@@ -315,7 +305,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParameterError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # say, a config path that is missing or a directory
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -299,7 +299,7 @@ def _option_names(cls: type) -> tuple[str, ...]:
 def make_minimizer(method: str, options: dict | None = None):
     try:
         cls = MINIMIZERS[method]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         known = ", ".join(sorted(MINIMIZERS))
         raise ParameterError(f"unknown minimizer {method!r}; known: {known}")
     options = options or {}

@@ -186,6 +186,17 @@ def test_execute_run_records_malformed_count_as_parameter_error():
     assert rec["f_g"] is None
 
 
+@pytest.mark.parametrize("field,name", [
+    ("objective_minimizer", ["compass"]),
+    ("filled_minimizer", {"a": 1}),
+])
+def test_execute_run_records_an_unhashable_minimizer_name_as_unknown(field, name):
+    # A name that cannot be a table key is an unknown name, as for problems.
+    rec = execute_run({"problem": "booth", "config": {field: name}}, {})
+    assert rec["error"] == f"unknown minimizer {name!r}; known: compass, quasi-newton"
+    assert rec["f_g"] is None
+
+
 @pytest.mark.parametrize("name", [["booth"], {"booth": 1}, 5, None])
 def test_execute_run_records_a_problem_name_that_is_not_in_the_table(name):
     rec = execute_run({"problem": name}, {})
@@ -307,8 +318,7 @@ def test_main_matrix_output_dir_falls_back_to_the_environment(
     assert "hit rate: 1/1 (0 errors)" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_main_matrix_records_untyped_row_errors(tmp_path, capsys, jobs):
+def test_main_matrix_records_untyped_row_errors(tmp_path, capsys):
     # Bad minimizer options, option fields, run entries that are not
     # objects and a start pattern that is not a sequence are typed errors.
     # Each row records its error and the batch goes on.
@@ -327,7 +337,7 @@ def test_main_matrix_records_untyped_row_errors(tmp_path, capsys, jobs):
     cfg_path = tmp_path / "runs.json"
     cfg_path.write_text(json.dumps(config))
     assert main(["matrix", str(cfg_path), "--output-dir", str(tmp_path),
-                 "--name", "bad", "--jobs", jobs]) == 0
+                 "--name", "bad"]) == 0
     out = capsys.readouterr().out
     assert "hit rate: 1/6 (5 errors)" in out
     assert "None: error: run spec must be an object, got 5" in out
@@ -385,27 +395,47 @@ def test_main_matrix_builtin_appendix(tmp_path, monkeypatch, capsys):
 
 
 def test_main_matrix_without_config_errors(capsys):
-    assert main(["matrix"]) == 2
-    assert "config file" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["matrix"])
+    assert exc.value.code == 2
+    assert "one of the arguments config --builtin is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["config-first", "builtin-first"])
+def test_main_matrix_rejects_a_config_with_the_builtin_batch(
+    tmp_path, monkeypatch, capsys, order
+):
+    # The rows come from a config file or from --builtin appendix, never
+    # both: the parser rejects the pair before anything is solved.
+    booth_row = next(row for row in APPENDIX_RUNS if row[0] == "booth")
+    monkeypatch.setattr("intfill.cli.APPENDIX_RUNS", (booth_row,))
+    cfg_path = tmp_path / "runs.json"
+    cfg_path.write_text(json.dumps({"runs": [{"problem": "leon"}]}))
+    argv = [str(cfg_path), "--builtin", "appendix"]
+    if order == "builtin-first":
+        argv = argv[1:] + argv[:1]
+    with pytest.raises(SystemExit) as exc:
+        main(["matrix", *argv, "--output-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "matrix.csv").exists()
+    assert not (tmp_path / "matrix.json").exists()
+
+
+def test_main_matrix_has_no_jobs_option(tmp_path, capsys):
+    # Rows run in order in the calling process; there is no process pool.
+    cfg_path = tmp_path / "runs.json"
+    cfg_path.write_text(json.dumps({"runs": [{"problem": "booth"}]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["matrix", str(cfg_path), "--output-dir", str(tmp_path), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not (tmp_path / "matrix.csv").exists()
 
 
 def test_main_matrix_missing_config_file(tmp_path, capsys):
     assert main(["matrix", str(tmp_path / "nope.json")]) == 1
     assert "error" in capsys.readouterr().err
-
-
-def test_main_matrix_parallel_preserves_order_and_results(tmp_path):
-    config = {"runs": [{"problem": "booth"}, {"problem": "leon"}]}
-    cfg_path = tmp_path / "runs.json"
-    cfg_path.write_text(json.dumps(config))
-    main(["matrix", str(cfg_path), "--output-dir", str(tmp_path), "--name", "seq"])
-    main(["matrix", str(cfg_path), "--output-dir", str(tmp_path), "--name", "par",
-          "--jobs", "2"])
-    seq = read_records_csv(tmp_path / "seq.csv")
-    par = read_records_csv(tmp_path / "par.csv")
-    for rs, rp in zip(seq, par):
-        rs.pop("wall_time"), rp.pop("wall_time")
-    assert seq == par
 
 
 @pytest.mark.parametrize("command", ["run", "matrix"])
@@ -429,6 +459,35 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, command, text, message)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "matrix.csv").exists()
+
+
+def config_argv(command, cfg_path, out_dir):
+    if command == "run":
+        return ["run", "--problem", "booth", "--config", str(cfg_path)]
+    return ["matrix", str(cfg_path), "--output-dir", str(out_dir)]
+
+
+@pytest.mark.parametrize("command", ["run", "matrix"])
+def test_config_nested_too_deep_for_the_json_parser_exits_2(tmp_path, capsys, command):
+    # The JSON parser gives up on deep nesting with a RecursionError; the
+    # file is still invalid JSON to the command, not a traceback.
+    cfg_path = tmp_path / "runs.json"
+    cfg_path.write_text('{"runs": ' + "[" * 5000 + "]" * 5000 + "}")
+    assert main(config_argv(command, cfg_path, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: invalid JSON: ")
+    assert not (tmp_path / "matrix.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "matrix"])
+def test_config_path_that_is_a_directory_exits_1(tmp_path, capsys, command):
+    # A config path that cannot be read ends the command as a missing one does.
+    cfg_path = tmp_path / "runs.json"
+    cfg_path.mkdir()
+    assert main(config_argv(command, cfg_path, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
     assert not (tmp_path / "matrix.csv").exists()
 
 
