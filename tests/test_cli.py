@@ -318,10 +318,13 @@ def test_main_matrix_output_dir_falls_back_to_the_environment(
     assert "hit rate: 1/1 (0 errors)" in capsys.readouterr().out
 
 
-def test_main_matrix_records_untyped_row_errors(tmp_path, capsys):
+@pytest.mark.parametrize("copies", [1, 2])
+def test_main_matrix_records_untyped_row_errors(tmp_path, capsys, copies):
     # Bad minimizer options, option fields, run entries that are not
     # objects and a start pattern that is not a sequence are typed errors.
-    # Each row records its error and the batch goes on.
+    # Each row records its error and the batch goes on. All rows run in
+    # one process, so a second copy of the batch must record the same
+    # rows: a failed row leaves nothing behind for the rows after it.
     filled_options = {"filled_minimizer_options": {"foo": 1}}
     objective_options = {"objective_minimizer_options": {"max_iterations": "x"}}
     config = {
@@ -332,22 +335,25 @@ def test_main_matrix_records_untyped_row_errors(tmp_path, capsys):
             {"problem": "booth"},
             5,
             {"problem": "booth", "config": {"objective_minimizer_options": 5}},
-        ],
+        ] * copies,
     }
     cfg_path = tmp_path / "runs.json"
     cfg_path.write_text(json.dumps(config))
     assert main(["matrix", str(cfg_path), "--output-dir", str(tmp_path),
                  "--name", "bad"]) == 0
     out = capsys.readouterr().out
-    assert "hit rate: 1/6 (5 errors)" in out
+    assert f"hit rate: {copies}/{6 * copies} ({5 * copies} errors)" in out
     assert "None: error: run spec must be an object, got 5" in out
-    records = read_records_csv(tmp_path / "bad.csv")
-    assert "unknown compass options ['foo']" in records[0]["error"]
-    assert "quasi-newton option max_iterations" in records[1]["error"]
-    assert records[2]["error"] == "start_pattern: expected a 1-d point, got shape ()"
-    assert records[3]["error"] is None and records[3]["hit"] is True
-    assert records[4]["error"] == "run spec must be an object, got 5"
-    assert records[5]["error"] == "objective_minimizer_options must be an object, got 5"
+    all_records = read_records_csv(tmp_path / "bad.csv")
+    assert len(all_records) == 6 * copies
+    for copy in range(copies):
+        records = all_records[6 * copy:6 * (copy + 1)]
+        assert "unknown compass options ['foo']" in records[0]["error"]
+        assert "quasi-newton option max_iterations" in records[1]["error"]
+        assert records[2]["error"] == "start_pattern: expected a 1-d point, got shape ()"
+        assert records[3]["error"] is None and records[3]["hit"] is True
+        assert records[4]["error"] == "run spec must be an object, got 5"
+        assert records[5]["error"] == "objective_minimizer_options must be an object, got 5"
 
 
 def test_main_matrix_records_malformed_problems_and_configs(tmp_path, capsys):
