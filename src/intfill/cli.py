@@ -279,7 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", help="JSON file whose 'defaults' apply")
     p_run.set_defaults(func=_cmd_run)
 
-    p_mat = sub.add_parser("matrix", help="run a batch and emit CSV/JSON")
+    # argparse draws a required group that holds a positional as two
+    # optional items, so the usage line is spelled out.
+    p_mat = sub.add_parser(
+        "matrix",
+        help="run a batch and emit CSV/JSON",
+        usage="%(prog)s [-h] (config | --builtin {appendix}) [--name NAME] "
+        "[--output-dir OUTPUT_DIR]",
+    )
     source = p_mat.add_mutually_exclusive_group(required=True)
     source.add_argument("config", nargs="?", help="JSON config file")
     source.add_argument("--builtin", choices=["appendix"], default=None)

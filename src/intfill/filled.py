@@ -21,7 +21,8 @@ For searches run in the continuous relaxation, ``AugmentedFilled`` adds
 the lattice and pushes minimizers toward integer coordinates; at a
 lattice point it is not computed at all. Given a memo, ``AugmentedFilled``
 remembers the values it computes, and a compass walk over the same memo
-reuses them without evaluating the point again. The escape pass hands its
+and the solver's D1, DC2 and bound checks reuse them without evaluating
+the point again. The escape pass hands its
 memo to the D1 check and to each candidate's first pass, none to a retry.
 """
 from __future__ import annotations
@@ -38,8 +39,9 @@ from .core import as_real_point, check_numbers
 
 _TINY = float(np.finfo(float).tiny)
 ANCHOR_FILLED = 2.0  # the filled value at the anchor: envelope 2, gate 1
-# Entries a memo keeps, the oldest dropped first. A solve keeps one memo at
-# a time, so this bounds the memory that remembered values take.
+# Entries a memo keeps, the oldest dropped first. A solve keeps two memos
+# under this bound, of filled values and of lattice objective values, so it
+# bounds the memory that remembered values take.
 _MEMO_SIZE = 4096
 
 

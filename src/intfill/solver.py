@@ -38,14 +38,19 @@ ordering, neighborhood argmins, and the objective evaluation embedded
 in each filled value unless the objective's ``count_in_filled`` is off)
 charges ``n_fu``, and every filled evaluation (including the per-escape
 bound check and the D1/DC2 condition checks) charges ``n_fill``. The
-run record keeps one memo of filled values for the last anchor escaped
-from and its value. The escape pass hands it to the D1 check and to each
+run record owns two memos, each of at most ``filled._MEMO_SIZE`` values,
+the oldest dropped first. One holds the objective at the lattice points
+the solve evaluated, and serves ``f(start)``, phase 1's lattice descent,
+candidate ordering, the landing's neighborhood argmin and the final
+polish. The other holds filled values for the last anchor escaped from
+and its value. The escape pass hands it to the D1 check and to each
 candidate's first pass, all at ``r_max``, in every round; a retry pass
-at a smaller margin gets none and evaluates every point. A compass
-escape recalls a value from the memo instead of evaluating the point
-again, which charges nothing and leaves the path of the solve as it
+at a smaller margin gets none and evaluates every point. The D1 check,
+a compass escape, the bound check at an integral endpoint and the DC2
+check recall a value from it instead of evaluating the point again. A
+recalled value charges nothing and leaves the path of the solve as it
 was. When the combined budget runs out mid-search the run is cut
-deterministically.
+deterministically, and the evaluation it cuts stores nothing.
 
 The run record keeps the best anchor and the best lattice point seen,
 and one exit reads them whether the rounds ran out or the budget cut
@@ -59,12 +64,14 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import math
 import time
 from typing import Any
 
 import numpy as np
 
+from . import filled as _filled
 from .benchmarks import BenchmarkProblem
 from .core import (
     BoxDomain,
@@ -147,6 +154,7 @@ def _beats(v: float, best: float) -> bool:
 
 @dataclasses.dataclass
 class _RunRecord:
+    obj: ObjectiveFunction | None = None  # whose lattice values ``value`` keeps
     events: list[dict] = dataclasses.field(default_factory=list)
     bound_checks: list[BoundCheck] = dataclasses.field(default_factory=list)
     d1_checks: list[dict] = dataclasses.field(default_factory=list)
@@ -158,6 +166,10 @@ class _RunRecord:
     # Filled values around the last anchor escaped from, and (anchor, value).
     memo: collections.OrderedDict | None = None
     memo_key: tuple | None = None
+    # Objective values at the lattice points evaluated, by their int64 bytes.
+    values: collections.OrderedDict = dataclasses.field(
+        default_factory=collections.OrderedDict
+    )
 
     def incumbent(self, start: IntPoint, f_start: float) -> tuple[IntPoint, float]:
         """Where an outer round starts: the best anchor once it beats the start."""
@@ -174,6 +186,16 @@ class _RunRecord:
         if self.best_seen is None or _beats(v, self.best_seen[1]):
             self.best_seen = (np.array(x), v)
 
+    def value(self, x: IntPoint) -> float:
+        """``obj(x)`` at an int64 lattice point, evaluated once while remembered."""
+        values = self.values
+        key = x.tobytes()
+        if (v := values.get(key)) is None:
+            v = values[key] = self.obj(x)
+            if len(values) > _filled._MEMO_SIZE:
+                values.popitem(last=False)
+        return v
+
     def filled_memo(self, anchor: IntPoint, value: float) -> collections.OrderedDict:
         """The memo of ``anchor`` at ``value``: the current one, or a new
         one that replaces it once either has changed."""
@@ -186,6 +208,22 @@ class _RunRecord:
         self.events.append(
             {"kind": kind, **fields, "n_fu": counter.n_fu, "n_fill": counter.n_fill}
         )
+
+
+def _filled_at(fn: AugmentedFilled, x: IntPoint) -> float:
+    """``fn`` at a lattice point: the value its memo holds there, else ``fn(x)``."""
+    x = x.astype(float)
+    value = fn.recall(x.tobytes())
+    return fn(x) if value is None else value
+
+
+def _raw_at(fn: AugmentedFilled, x: np.ndarray) -> float:
+    """``fn.base.raw(x)``, recalled from ``fn``'s memo at an integral ``x``,
+    where the raw and augmented values agree bit for bit."""
+    if all(map(float.is_integer, x.tolist())):
+        if (value := fn.recall(x.tobytes())) is not None:
+            return value
+    return fn.base.raw(x)
 
 
 def _escape(
@@ -210,7 +248,7 @@ def _escape(
     d1 = AugmentedFilled(InverseSquareFilled(obj, x_star, f_star, params.r_max), memo)
     worst = -np.inf
     for nb in neighbors:
-        worst = max(worst, d1(nb))
+        worst = max(worst, _filled_at(d1, nb))
     rec.d1_checks.append(
         {
             "anchor": point_key(x_star),
@@ -219,16 +257,16 @@ def _escape(
             "max_neighbor_filled": worst,
         }
     )
-    for candidate in sorted(neighbors, key=obj):
+    for candidate in sorted(neighbors, key=rec.value):
         r = params.r_max
         while r is not None:
             filled = InverseSquareFilled(obj, x_star, f_star, r)
             target = AugmentedFilled(filled, memo if r == params.r_max else None)
             x_esc, walk = escape.minimize(target, candidate, box)
-            check = rounding_error_check(ANCHOR_FILLED, filled.raw(x_esc), x_esc)
+            check = rounding_error_check(ANCHOR_FILLED, _raw_at(target, x_esc), x_esc)
             rec.bound_checks.append(check)
             x_landed = box.clamp(round_point(x_esc))
-            x_prime, f_prime = neighborhood_argmin(obj, x_landed, box)
+            x_prime, f_prime = neighborhood_argmin(rec.value, x_landed, box)
             rec.note_seen(x_prime, f_prime)
             improved = _beats(f_prime, f_star)
             rec.log(
@@ -246,7 +284,8 @@ def _escape(
                 bound=check.status,
             )
             if improved:
-                return x_prime, is_discrete_local_min(target, x_landed, box)
+                dc2 = functools.partial(_filled_at, target)
+                return x_prime, is_discrete_local_min(dc2, x_landed, box)
             if vertex_check(x_prime, box):
                 break
             r = params.next_margin(r, filled.min_excess)
@@ -278,7 +317,7 @@ def _generic(
         # Phase 1: continuous descent of f, rounding, lattice descent.
         x_cont, obj_trace = descent.minimize(obj.relaxed, x_start, box)
         x_rounded = box.clamp(round_point(x_cont))
-        x_star, f_star = steepest_descent_discrete(obj, x_rounded, box)
+        x_star, f_star = steepest_descent_discrete(rec.value, x_rounded, box)
         rec.note_anchor(x_star, f_star)
         rec.log(
             obj.counter,
@@ -321,12 +360,12 @@ def _best_minimizer(
     counter = obj.counter
     if rec.best_seen is None:  # the budget ran out before f(start)
         counter.limit = None
-        rec.note_seen(start, obj(start))
+        rec.note_seen(start, rec.value(start))
     anchor, (x_seen, f_seen) = rec.best_anchor, rec.best_seen
     if anchor is not None and anchor[1] <= f_seen:
         return anchor
     counter.limit = None
-    x_fin, f_fin = steepest_descent_discrete(obj, x_seen, obj.box)
+    x_fin, f_fin = steepest_descent_discrete(rec.value, x_seen, obj.box)
     rec.log(counter, "finalize_descent", point=point_key(x_fin), value=f_fin)
     return x_fin, f_fin
 
@@ -349,13 +388,13 @@ def solve(
     saved_limit = counter.limit
     budget = counter.total() + cfg.max_evaluations
     counter.limit = budget if saved_limit is None else min(budget, saved_limit)
-    rec = _RunRecord()
+    rec = _RunRecord(obj)
     t0 = time.perf_counter()
     termination = "max_iterations"
     outer_done = 0
     try:
         try:
-            f_start = obj(start)
+            f_start = rec.value(start)
             rec.note_seen(start, f_start)
             rec.log(counter, "start", point=point_key(start), value=f_start)
             for outer_done in range(1, cfg.max_outer_iterations + 1):

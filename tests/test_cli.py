@@ -404,7 +404,11 @@ def test_main_matrix_without_config_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["matrix"])
     assert exc.value.code == 2
-    assert "one of the arguments config --builtin is required" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "one of the arguments config --builtin is required" in err
+    # The usage line shows the two row sources as one required choice.
+    usage = "usage: intfill matrix [-h] (config | --builtin {appendix}) [--name NAME]"
+    assert err.splitlines()[0] == usage + " [--output-dir OUTPUT_DIR]"
 
 
 @pytest.mark.parametrize("order", ["config-first", "builtin-first"])

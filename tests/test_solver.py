@@ -12,13 +12,19 @@ import intfill.solver
 from intfill.benchmarks import get_problem
 from intfill.core import (
     BoxDomain,
+    BudgetExhausted,
     DomainError,
     EvalCounter,
     ObjectiveFunction,
     ParameterError,
     is_discrete_local_min,
 )
-from intfill.filled import AugmentedFilled, FilledParams, lattice_penalty
+from intfill.filled import (
+    AugmentedFilled,
+    FilledParams,
+    InverseSquareFilled,
+    lattice_penalty,
+)
 from intfill.local_search import MINIMIZERS, CompassSearch, make_minimizer
 from intfill.solver import (
     SolverConfig,
@@ -155,7 +161,7 @@ def test_no_restart_pick_after_the_last_round():
     # Round 2 does not improve on round 1 and ends the run; nothing is
     # evaluated after its result.
     rep = solve_problem(get_problem("booth"), cfg=SolverConfig(max_outer_iterations=2))
-    assert rep.columns() == (0.0, 327, 229)
+    assert rep.columns() == (0.0, 287, 217)
     assert rep.termination == "max_iterations"
     assert rep.events[-1]["kind"] == "outer_result"
 
@@ -165,7 +171,7 @@ def test_every_round_starts_from_the_incumbent():
     # on it, and each starts there again instead of at a neighbor of its
     # predecessor's result.
     rep = solve_problem(get_problem("booth"))
-    assert rep.columns() == (0.0, 377, 253)
+    assert rep.columns() == (0.0, 308, 233)
     assert rep.termination == "max_iterations"
     assert {e["kind"] for e in rep.events} <= EVENT_KINDS
     later = [e for e in rep.events if e["kind"] == "anchor" and e["outer"] > 1]
@@ -226,7 +232,7 @@ def test_an_escape_from_a_nan_anchor_improves():
     rounds = [e["improved"] for e in rep.events if e["kind"] == "outer_result"]
     assert rounds == [True, False, False]
     assert "finalize_descent" not in {e["kind"] for e in rep.events}
-    assert rep.x_best == (0, 0) and rep.n_fu == 520
+    assert rep.x_best == (0, 0) and rep.n_fu == 437
 
 
 def test_start_at_the_minimum_reports_its_anchor_without_a_polish():
@@ -234,7 +240,7 @@ def test_start_at_the_minimum_reports_its_anchor_without_a_polish():
     # is: no point the solve saw beats it, so nothing is polished.
     rep = solve_problem(get_problem("booth"), x0=(1, 3))
     assert rep.x_best == (1, 3)
-    assert rep.columns() == (0.0, 332, 253)
+    assert rep.columns() == (0.0, 262, 233)
     assert rep.termination == "max_iterations"
     assert "finalize_descent" not in {e["kind"] for e in rep.events}
 
@@ -366,13 +372,17 @@ def test_escape_events_say_how_the_walk_ended():
     # Every default compass walk stops at its first step below one unit.
     assert escapes and all(ev["escape_termination"] == "converged" for ev in escapes)
     # Between two escapes of one phase 2, n_fill counts the walk's own
-    # evaluations plus the bound check at its endpoint.
+    # evaluations plus the bound check at its endpoint, unless the walk ran
+    # over the memo (a first pass, at r_max) and ended at a lattice point,
+    # whose value the memo holds.
+    checks = dict(zip(map(id, escapes), rep.bound_checks))
     pairs = [
         (a, b) for a, b in zip(events, events[1:]) if a["kind"] == b["kind"] == "escape"
     ]
     assert pairs
     for a, b in pairs:
-        assert b["n_fill"] - a["n_fill"] == b["escape_evaluations"] + 1
+        recalled = b["r"] == FilledParams().r_max and checks[id(b)].offset_sq == 0.0
+        assert b["n_fill"] - a["n_fill"] == b["escape_evaluations"] + (not recalled)
 
 
 def test_outer_results_never_worsen_the_incumbent():
@@ -444,19 +454,19 @@ def memo_off(monkeypatch):
 
 
 @pytest.mark.parametrize("name,start,options,digest", [
-    ("booth", (0, 0), {}, "9ca1b0653cd02d00"),
-    ("leon", (10, 10), {}, "d091dd3d2cfb218b"),
-    ("three-hump-camel", (2, 2), {}, "746d24d49a6f0f8e"),
-    ("booth", (0, 0), {"max_evaluations": 200}, "79f8cbe48f36f756"),
-    ("booth", (0, 0), {"filled_minimizer": "quasi-newton"}, "a68fd691d9c6d1c5"),
+    ("booth", (0, 0), {}, "a71b3e95957e933d"),
+    ("leon", (10, 10), {}, "43adddd53401859f"),
+    ("three-hump-camel", (2, 2), {}, "f7b2aaa3a783acc7"),
+    ("booth", (0, 0), {"max_evaluations": 200}, "a68d474b2b2c7c71"),
+    ("booth", (0, 0), {"filled_minimizer": "quasi-newton"}, "4e1c9c97f74bd42a"),
 ])
 def test_solve_output_with_the_filled_memo_is_pinned_bit_for_bit(
     name, start, options, digest
 ):
     # A refactor of the solver that keeps the order of evaluations keeps
     # every event, check record and column, and so these digests. The
-    # quasi-newton escape recalls nothing, so its digest is the one it had
-    # before solves remembered filled values.
+    # quasi-newton escape asks no memo itself, but the lattice values and
+    # the D1, bound and DC2 checks around it are recalled as for a compass.
     rep = solve_problem(get_problem(name), x0=start, cfg=SolverConfig(**options))
     assert report_digest(rep) == digest
 
@@ -522,18 +532,17 @@ def test_a_walk_to_step_tol_1e_6_replays_the_sub_unit_escapes(
 
 
 @pytest.mark.parametrize("name,start,options,digest", [
-    ("booth", (0, 0), FINE_WALK, "24d3ae607aca9ab8"),
-    ("leon", (10, 10), FINE_WALK, "77312ba777cbbede"),
-    ("three-hump-camel", (2, 2), FINE_WALK, "b12ee30e93bdf810"),
-    ("booth", (0, 0), {"max_evaluations": 200, **FINE_WALK}, "dc1a1efbdc94c025"),
-    ("booth", (0, 0), {"filled_minimizer": "quasi-newton"}, "89c13e51181ffaf8"),
+    ("booth", (0, 0), FINE_WALK, "b0816e1bfd818380"),
+    ("leon", (10, 10), FINE_WALK, "76a953ac052d7c71"),
+    ("three-hump-camel", (2, 2), FINE_WALK, "5abad3ccbaf4743a"),
+    ("booth", (0, 0), {"max_evaluations": 200, **FINE_WALK}, "092153e488396031"),
+    ("booth", (0, 0), {"filled_minimizer": "quasi-newton"}, "c31c6081a07dc7c7"),
 ])
 def test_a_walk_to_step_tol_1e_6_with_the_filled_memo_is_pinned(
     name, start, options, digest
 ):
-    # The same solves as above with the memo on. The budget of 200 runs
-    # out before any walk recalls a value, and the quasi-newton escape
-    # recalls none, so those two digests stay the same.
+    # The same solves as above with the memos on: lattice values and
+    # filled values are each computed once while remembered.
     rep = solve_problem(get_problem(name), x0=start, cfg=SolverConfig(**options))
     assert report_digest(rep, drop=WALK_FIELDS) == digest
 
@@ -586,7 +595,7 @@ def test_budget_spent_before_the_start_value_still_reports_a_minimizer():
     obj = ObjectiveFunction(lambda x: float(x @ x), box, counter)
     rep = solve(obj, np.array([3, 3]))
     assert (rep.x_best, rep.f_best, rep.termination) == ((0, 0), 0.0, "budget")
-    assert (rep.n_fu, rep.n_fill) == (30, 0)
+    assert (rep.n_fu, rep.n_fill) == (18, 0)
     assert counter.limit == 0
     assert [ev["kind"] for ev in rep.events] == ["finalize_descent"]
 
@@ -650,7 +659,7 @@ def test_solve_at_the_top_int64_bound_keeps_its_endpoint():
     rep = _solve_at_the_top_int64_bound()
     assert rep.termination == "max_iterations"
     assert rep.x_best == (2**63 - 1,)
-    assert (rep.n_fu, rep.n_fill) == (55, 6)
+    assert (rep.n_fu, rep.n_fill) == (36, 1)
 
 
 def _solve_at_the_top_int64_bound():
@@ -679,7 +688,7 @@ def test_embedded_objective_counting_flag():
 
 @pytest.mark.parametrize(
     "name,minimum,columns",
-    [("booth", (1, 3), (0.0, 472, 324)), ("three-hump-camel", (0, 0), (0.0, 477, 324))],
+    [("booth", (1, 3), (0.0, 393, 316)), ("three-hump-camel", (0, 0), (0.0, 397, 316))],
 )
 def test_quasi_newton_escapes_over_three_rounds(name, minimum, columns):
     # Round k >= 2 widens only a compass escape: QuasiNewton has no
@@ -739,7 +748,7 @@ def test_schaffer_n1_from_51_91_does_not_cycle_between_two_anchors():
     rep = solve_problem(get_problem("schaffer-n1"), x0=(51, 91))
     assert rep.termination == "max_iterations"
     assert rep.x_best == (0, 0) and rep.f_best == 0.0
-    assert rep.n_fu + rep.n_fill == 18_687
+    assert rep.n_fu + rep.n_fill == 18_301
 
 
 def test_filled_minimizer_is_built_once_per_inner_search():
@@ -866,3 +875,96 @@ def test_memo_off_replays_the_counts_of_every_filled_value_evaluated(
     # the tests above pin them with the memo on.
     rep = run()
     assert (rep.n_fu, rep.n_fill) == counts
+
+
+# ---------------------------------------------------------------- lattice memo
+
+
+@pytest.mark.parametrize("name,n", [("booth", None), ("rastrigin", 5)])
+def test_each_lattice_point_reaches_the_objective_once(monkeypatch, name, n):
+    # f(start), phase 1's lattice descent, candidate ordering, the landing's
+    # neighborhood argmin and the polish all read the run record's values.
+    points = []
+    call = ObjectiveFunction.__call__
+
+    def recording(obj, x):
+        points.append(x.tobytes())
+        return call(obj, x)
+
+    monkeypatch.setattr(ObjectiveFunction, "__call__", recording)
+    solve_problem(get_problem(name, n))
+    assert points and len(points) == len(set(points))
+
+
+def _solve_recording_charges(monkeypatch):
+    """schaffer-n1 from (51, 91), with the filled values charged by each
+    D1, DC2 and bound-check evaluation, in order."""
+    charged = {"d1": [], "dc2": [], "bound": []}
+    in_dc2 = []
+    filled_at, raw_at = intfill.solver._filled_at, intfill.solver._raw_at
+    dc2_check = intfill.solver.is_discrete_local_min
+
+    def counted(kind, fn, counter, *args):
+        before = (counter.n_fu, counter.n_fill)
+        value = fn(*args)
+        charged[kind].append((counter.n_fu - before[0], counter.n_fill - before[1]))
+        return value
+
+    def recording_filled_at(fn, x):
+        kind = "dc2" if in_dc2 else "d1"
+        return counted(kind, filled_at, fn.base.objective.counter, fn, x)
+
+    def recording_raw_at(fn, x):
+        return counted("bound", raw_at, fn.base.objective.counter, fn, x)
+
+    def recording_dc2(f, x, box):
+        in_dc2.append(True)
+        try:
+            return dc2_check(f, x, box)
+        finally:
+            in_dc2.pop()
+
+    monkeypatch.setattr(intfill.solver, "_filled_at", recording_filled_at)
+    monkeypatch.setattr(intfill.solver, "_raw_at", recording_raw_at)
+    monkeypatch.setattr(intfill.solver, "is_discrete_local_min", recording_dc2)
+    return solve_problem(get_problem("schaffer-n1"), x0=(51, 91)), charged
+
+
+def test_recalled_condition_checks_charge_nothing_and_change_no_record(monkeypatch):
+    # The D1 and DC2 checks and the bound check recall the filled values
+    # the memo holds. Every check record matches the same solve with the
+    # memos off, where each of those values is evaluated and charged.
+    rep, charged = _solve_recording_charges(monkeypatch)
+    for kind, charges in charged.items():
+        assert set(charges) == {(0, 0), (1, 1)}, kind
+    monkeypatch.undo()
+    monkeypatch.setattr(intfill.filled, "_MEMO_SIZE", 0)
+    off, charged_off = _solve_recording_charges(monkeypatch)
+    for kind, charges in charged_off.items():
+        assert len(charges) == len(charged[kind]) and set(charges) == {(1, 1)}, kind
+    for name in ("d1_checks", "dc2_checks", "bound_checks"):
+        assert json.dumps(_hexed(getattr(rep, name))) == json.dumps(
+            _hexed(getattr(off, name))
+        )
+
+
+def test_an_evaluation_cut_by_the_budget_is_not_remembered():
+    obj = booth_objective(limit=0)
+    rec = intfill.solver._RunRecord(obj)
+    with pytest.raises(BudgetExhausted):
+        rec.value(np.array([0, 0]))
+    assert not rec.values
+    memo = rec.filled_memo(np.array([1, 3]), 0.0)
+    fn = AugmentedFilled(InverseSquareFilled(obj, np.array([1, 3]), 0.0, 1.0), memo)
+    with pytest.raises(BudgetExhausted):
+        intfill.solver._filled_at(fn, np.array([0, 0]))
+    assert not memo
+
+
+def test_the_lattice_memo_keeps_its_bound(monkeypatch):
+    monkeypatch.setattr(intfill.filled, "_MEMO_SIZE", 2)
+    rec = intfill.solver._RunRecord(booth_objective())
+    for x in ([0, 0], [0, 1], [0, 2], [0, 1]):
+        rec.value(np.array(x))
+    assert list(rec.values) == [np.array(x).tobytes() for x in ([0, 1], [0, 2])]
+    assert rec.obj.counter.n_fu == 3
