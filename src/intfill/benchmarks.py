@@ -130,7 +130,7 @@ def three_hump_camel_value(x: np.ndarray) -> float:
 
 def schaffer_n1_value(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
-    s = float(x @ x)
+    s = float(x.dot(x))
     return float(0.5 + (np.sin(s * s) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2)
 
 
@@ -141,7 +141,7 @@ def leon_value(x: np.ndarray) -> float:
 
 def salomon_value(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
-    root = float(np.sqrt(x @ x))
+    root = float(np.sqrt(x.dot(x)))
     return float(1.0 - np.cos(2.0 * np.pi * root) + 0.1 * root)
 
 

@@ -91,7 +91,7 @@ def check_numbers(settings: object, prefix: str = "") -> None:
 
 def point_key(x: np.ndarray) -> tuple[int, ...]:
     """Hashable identity of a lattice point, for visit sets and dicts."""
-    return tuple(int(v) for v in x)
+    return tuple(map(int, np.asarray(x).tolist()))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,15 +168,16 @@ def round_point(x: np.ndarray) -> IntPoint:
     the caller's responsibility and is deliberately a separate
     operation. A coordinate outside int64 saturates at its bound: the
     float64 image of ``2**63 - 1``, ``2.0**63``, gives ``2**63 - 1``.
+    The input must be a 1-d point: a 0-d or 2-d one is a ``DomainError``.
     """
-    arr = np.asarray(x, dtype=float)
-    if not np.isfinite(arr).all():
+    arr = as_real_point(x)
+    if not all(map(math.isfinite, xs := arr.tolist())):
         raise DomainError(f"cannot round non-finite vector {arr!r}")
-    shifted = np.floor(arr + np.where(arr > 0.0, 0.5, -0.5))
-    out = np.where(arr == np.floor(arr), arr, shifted)
-    top = out >= 2.0**63  # a cast would wrap these to -2**63
-    ints = np.maximum(np.where(top, 0.0, out), -(2.0**63)).astype(np.int64)
-    return np.where(top, 2**63 - 1, ints)
+    ints = (
+        int(t) if t.is_integer() else math.floor(t + (0.5 if t > 0.0 else -0.5))
+        for t in xs
+    )
+    return np.array([min(max(v, -(2**63)), 2**63 - 1) for v in ints], dtype=np.int64)
 
 
 def neighborhood(x: IntPoint, box: BoxDomain) -> list[IntPoint]:

@@ -109,7 +109,7 @@ def filled_value(
 ) -> float:
     """Envelope-times-gate filled value; pure function of its inputs."""
     diff = as_real_point(x) - anchor
-    envelope = 1.0 / (float(diff @ diff) + 1.0) + 1.0
+    envelope = 1.0 / (float(diff.dot(diff)) + 1.0) + 1.0
     gate = smoothed_step(smoothed_ramp(value_at_x - anchor_value, r))
     return envelope * gate
 
@@ -263,7 +263,7 @@ def rounding_error_check(
 ) -> BoundCheck:
     arr = as_real_point(x)
     delta = arr - np.rint(arr)
-    offset_sq = float(delta @ delta)
+    offset_sq = float(delta.dot(delta))
     if point_filled == 0.0:
         return BoundCheck("skipped", offset_sq, np.inf, anchor_filled, point_filled)
     limit = (anchor_filled - point_filled) / (4.0 * abs(point_filled))

@@ -132,9 +132,9 @@ class CompassSearch:
                 break
             best: np.ndarray | None = None
             best_val = fx
-            for i, xi in enumerate(xs):
+            for i, (xi, l, h) in enumerate(zip(xs, lo, hi)):
                 for yi in (xi - step, xi + step):
-                    yi = min(max(yi, lo[i]), hi[i])
+                    yi = l if yi < l else h if yi > h else yi
                     if yi == xi:  # projected back onto x: skip before keying
                         continue
                     y = base.copy()
@@ -230,23 +230,22 @@ class QuasiNewton:
                 break
             if prev_g is not None and prev_s is not None:
                 yk = g - prev_g
-                sy = float(prev_s @ yk)
-                ss, yy = float(prev_s @ prev_s), float(yk @ yk)
+                sy = float(prev_s.dot(yk))
+                ss, yy = float(prev_s.dot(prev_s)), float(yk.dot(yk))
                 if sy > 1e-12 * math.sqrt(ss) * math.sqrt(yy):
                     if not scaled:
                         hess_inv = (sy / yy) * ident
                         scaled = True
                     rho = 1.0 / sy
-                    left = ident - rho * np.outer(prev_s, yk)
-                    hess_inv = left @ hess_inv @ left.T + rho * np.outer(
-                        prev_s, prev_s
-                    )
+                    col = prev_s[:, None]  # np.outer's multiply, without its dispatch
+                    left = ident - rho * (col * yk)
+                    hess_inv = left.dot(hess_inv).dot(left.T) + rho * (col * prev_s)
                 prev_g = prev_s = None
             if max(map(abs, gs)) <= _GRAD_TOL:
                 termination = "converged"
                 break
-            d = -hess_inv @ g
-            if float(g @ d) >= 0.0:
+            d = (-hess_inv).dot(g)
+            if float(g.dot(d)) >= 0.0:
                 hess_inv = ident.copy()
                 scaled = False
                 d = -g
@@ -261,7 +260,7 @@ class QuasiNewton:
                 move = y - x
                 v = float(fn(y))
                 nev += 1
-                if v <= fx + _ARMIJO_C1 * float(g @ move):
+                if v <= fx + _ARMIJO_C1 * float(g.dot(move)):
                     prev_s, prev_g = move, g
                     stalled = (
                         math.isfinite(fx)

@@ -143,8 +143,8 @@ class SolveReport:
 
 def vertex_check(x: IntPoint, box: BoxDomain) -> bool:
     """True when every coordinate sits on a bound of the box."""
-    arr = np.asarray(x)
-    return bool(((arr == box.lower) | (arr == box.upper)).all())
+    bounds = zip(np.asarray(x).tolist(), box.lower.tolist(), box.upper.tolist())
+    return all(v == lo or v == hi for v, lo, hi in bounds)
 
 
 def _beats(v: float, best: float) -> bool:

@@ -112,6 +112,83 @@ def test_round_point_saturates_at_the_int64_bounds():
     assert out.tolist() == [2**63 - 1, 2**63 - 1, -(2**63), -(2**63), -4]
 
 
+def reference_round_point(x):
+    """``round_point`` as numpy ufuncs over the whole vector; the Python-scalar
+    form must match it bit for bit."""
+    arr = np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"cannot round non-finite vector {arr!r}")
+    shifted = np.floor(arr + np.where(arr > 0.0, 0.5, -0.5))
+    out = np.where(arr == np.floor(arr), arr, shifted)
+    top = out >= 2.0**63
+    ints = np.maximum(np.where(top, 0.0, out), -(2.0**63)).astype(np.int64)
+    return np.where(top, 2**63 - 1, ints)
+
+
+# Signed zeros, exact halves, the largest floats below 1/2 (t + 0.5 rounds up to
+# 1.0), the smallest subnormal, the last non-integral floats below 2**52, and
+# values at and beyond +-2**63.
+EDGE_FLOATS = [
+    0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.49999999999999994,
+    -0.49999999999999994, 5e-324, -5e-324, 2.2e-308,
+    4503599627370495.5, -4503599627370495.5, 2.0**52, 2.0**63, -(2.0**63),
+    9.223372036854775e18, 1e19, -1e19, 1.7976931348623157e308, -1.7976931348623157e308,
+]
+any_finite = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    finite_coords,
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.lists(any_finite, min_size=0, max_size=6))
+def test_round_point_matches_the_numpy_form(coords):
+    arr = np.array(coords, dtype=float)
+    out, ref = round_point(arr), reference_round_point(arr)
+    assert out.dtype == ref.dtype == np.int64
+    assert out.shape == ref.shape
+    assert out.tolist() == ref.tolist()
+
+
+@pytest.mark.parametrize("value", EDGE_FLOATS)
+def test_round_point_matches_the_numpy_form_at_each_edge_value(value):
+    arr = np.array([value, -value, value / 3.0])
+    assert round_point(arr).tolist() == reference_round_point(arr).tolist()
+
+
+@derandomized
+@given(
+    st.lists(any_finite, min_size=0, max_size=4),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.integers(min_value=0, max_value=4),
+)
+def test_round_point_non_finite_is_a_domain_error_as_in_the_numpy_form(
+    coords, bad, at
+):
+    arr = np.array(coords[:at] + [bad] + coords[at:], dtype=float)
+    with pytest.raises(DomainError, match="cannot round non-finite") as got:
+        round_point(arr)
+    with pytest.raises(DomainError) as want:
+        reference_round_point(arr)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "x", [np.array([[1.5, -0.4]]), np.float64(2.5), 2.5, [[1.0], [2.0]]]
+)
+def test_round_point_takes_only_a_1d_point(x):
+    # The numpy form broadcast these to a 2-d or 0-d result.
+    with pytest.raises(DomainError, match="expected a 1-d point"):
+        round_point(x)
+
+
+def test_round_point_takes_lists_and_int_arrays():
+    assert round_point([1.5, -0.4]).tolist() == [2, -1]
+    out = round_point(np.array([2**62, -3], dtype=np.int64))
+    assert out.dtype == np.int64 and out.tolist() == [2**62, -3]
+
+
 # ---------------------------------------------------------------- box
 
 
@@ -402,3 +479,15 @@ def test_point_key_round_trip():
     key = point_key(np.array([4, -7], dtype=np.int64))
     assert key == (4, -7)
     assert all(isinstance(v, int) for v in key)
+
+
+int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+@derandomized
+@given(st.lists(int64s, min_size=0, max_size=6))
+def test_point_key_matches_the_numpy_form(coords):
+    for x in (np.array(coords, dtype=np.int64), np.array(coords, dtype=float)):
+        key = point_key(x)
+        assert key == tuple(int(v) for v in x)
+        assert all(type(v) is int for v in key)

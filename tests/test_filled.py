@@ -476,3 +476,27 @@ def test_bound_check_offsets_are_nearest_integer():
     # 0.6 is 0.4 away from its nearest integer 1, not 0.6 from 0.
     check = rounding_error_check(2.0, 1.0, np.array([0.6]))
     assert check.offset_sq == pytest.approx(0.16, abs=1e-15)
+
+
+# ---------------------------------------------------------------- dot products
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_envelope_and_bound_check_dots_are_the_matmul_bit_for_bit(n):
+    # filled_value and rounding_error_check take their squared norms with
+    # ndarray.dot, the BLAS routine @ calls, without matmul's dispatch. Each
+    # must still give the value the @ form gives, to the last bit.
+    rng = np.random.default_rng(n)
+    scales = 10.0 ** rng.uniform(-6, 6, (200, 1))
+    points = rng.standard_normal((200, n)) * scales
+    anchors = rng.integers(-50, 51, (200, n)).astype(float)
+    for x, anchor, fx in zip(points, anchors, rng.standard_normal(200)):
+        diff = x - anchor
+        assert float(diff.dot(diff)).hex() == float(diff @ diff).hex(), "envelope dot"
+        gate = smoothed_step(smoothed_ramp(fx - 0.5, 1.0))
+        want = (1.0 / (float(diff @ diff) + 1.0) + 1.0) * gate
+        assert filled_value(x, anchor, 0.5, fx, 1.0).hex() == want.hex(), "envelope"
+        for y in (x, anchor + x / scales.max()):  # far from and near the lattice
+            delta = y - np.rint(y)
+            got = rounding_error_check(2.0, 1.0, y).offset_sq
+            assert got.hex() == float(delta @ delta).hex(), "bound check"

@@ -758,3 +758,45 @@ def test_compass_recalls_remembered_values_without_charging_them():
     assert (t2.start_value, t2.final_value, t2.accepted_steps, t2.termination) == (
         t1.start_value, t1.final_value, t1.accepted_steps, t1.termination
     )
+
+
+# ---------------------------------------------------------------- BFGS products
+
+
+def _hexes(value):
+    return [float(v).hex() for v in np.ravel(value)]
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_bfgs_products_are_the_matmul_forms_bit_for_bit(n):
+    # QuasiNewton.minimize writes its products as ndarray.dot, the routine @
+    # calls, and its outer products as the broadcast np.outer multiplies by.
+    # Each form as written there must give every bit the @ / np.outer form
+    # gives; the assertion message names the form that differs.
+    rng = np.random.default_rng(n)
+    ident = np.eye(n)
+    a = rng.standard_normal((n, n))
+    for hess_inv in (ident, 0.37 * ident, a @ a.T / n + ident):
+        for _ in range(10):
+            s, y, g, x = (rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 4) for _ in range(4))
+            rho = 1.0 / rng.uniform(1e-3, 1e3)
+            col = s[:, None]
+            left = ident - rho * (col * y)
+            d = (-hess_inv).dot(g)
+            move = (x + d) - x
+            forms = {
+                "sy": (s.dot(y), s @ y),
+                "ss": (s.dot(s), s @ s),
+                "yy": (y.dot(y), y @ y),
+                "direction": (d, -hess_inv @ g),
+                "slope": (g.dot(d), g @ d),
+                "armijo": (g.dot(move), g @ move),
+                "outer": (col * y, np.outer(s, y)),
+                "left": (left, ident - rho * np.outer(s, y)),
+                "update": (
+                    left.dot(hess_inv).dot(left.T) + rho * (col * s),
+                    left @ hess_inv @ left.T + rho * np.outer(s, s),
+                ),
+            }
+            for name, (got, want) in forms.items():
+                assert _hexes(got) == _hexes(want), name

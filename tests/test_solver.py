@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import intfill.filled
 import intfill.solver
@@ -65,6 +66,24 @@ def test_vertex_check():
     assert vertex_check(np.array([0]), line)
     assert vertex_check(np.array([10]), line)
     assert not vertex_check(np.array([7]), line)
+
+
+int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data(), st.integers(min_value=0, max_value=4))
+def test_vertex_check_matches_the_numpy_form(data, n):
+    bounds = [sorted(data.draw(st.lists(int64s, min_size=2, max_size=2))) for _ in range(n)]
+    box = BoxDomain(np.array([b[0] for b in bounds]), np.array([b[1] for b in bounds]))
+    # Each coordinate on its lower bound, its upper bound or anywhere between.
+    picks = [
+        data.draw(st.sampled_from([lo, hi]) | st.integers(min_value=lo, max_value=hi))
+        for lo, hi in bounds
+    ]
+    x = np.array(picks, dtype=np.int64)
+    numpy_form = bool(((x == box.lower) | (x == box.upper)).all())
+    assert vertex_check(x, box) is numpy_form
 
 
 # ---------------------------------------------------------------- config
