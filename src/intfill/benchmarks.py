@@ -203,14 +203,11 @@ def registry() -> list[BenchmarkProblem]:
 BRUTE_FORCE_GUARD = 10**7
 
 
-def brute_force_min(
-    problem: BenchmarkProblem, box_override: BoxDomain | None = None
-) -> tuple[IntPoint, float]:
-    """Exhaustive lattice minimum; ties go to the lexicographically
+def brute_force_min(problem: BenchmarkProblem) -> tuple[IntPoint, float]:
+    """Exhaustive minimum over ``problem.box``; ties go to the lexicographically
     smallest point because enumeration is lexicographic and first wins.
     """
-    box = box_override or problem.box
-    size = box.feasible_size()
+    size = problem.box.feasible_size()
     if size > BRUTE_FORCE_GUARD:
         raise ParameterError(
             f"{problem.name}: {size} feasible points exceed the "
@@ -218,7 +215,7 @@ def brute_force_min(
         )
     best: IntPoint | None = None
     best_val = np.inf
-    for p in box.iter_points():
+    for p in problem.box.iter_points():
         v = problem.func(p)
         if v < best_val:
             best, best_val = p, v

@@ -30,10 +30,9 @@ Record columns are problem, n, x0, f_g, n_fu, n_fill, wall_time,
 termination, known_value, hit, error. Emitted floats use ``repr`` so
 parsing a table reproduces the in-memory values exactly.
 
-The output directory is taken from ``--output-dir``, else the
-``INTFILL_OUTPUT_DIR`` environment variable, else the current
-directory. ``matrix`` takes a config file or ``--builtin appendix``,
-not both, and runs its rows in order in the calling process.
+``matrix`` takes a config file or ``--builtin appendix``, not both,
+runs its rows in order in the calling process, and writes its tables
+to ``--output-dir``, else to the current directory.
 """
 from __future__ import annotations
 
@@ -41,7 +40,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -168,13 +166,6 @@ def _appendix_specs() -> list[dict[str, Any]]:
     ]
 
 
-def _output_dir(args: argparse.Namespace) -> Path:
-    if args.output_dir:
-        return Path(args.output_dir)
-    env = os.environ.get("INTFILL_OUTPUT_DIR")
-    return Path(env) if env else Path(".")
-
-
 def _read_config(path: str) -> tuple[dict[str, Any], list[Any]]:
     """The ``defaults`` and ``runs`` of a config file, checked for shape."""
     try:
@@ -216,7 +207,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     else:
         defaults, specs = _read_config(args.config)
     records = [execute_run(spec, defaults) for spec in specs]
-    out_dir = _output_dir(args)
+    out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = args.name
     write_csv(records, out_dir / f"{stem}.csv")
@@ -291,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("config", nargs="?", help="JSON config file")
     source.add_argument("--builtin", choices=["appendix"], default=None)
     p_mat.add_argument("--name", default="matrix", help="output file stem")
-    p_mat.add_argument("--output-dir", default=None)
+    p_mat.add_argument("--output-dir", default=".")
     p_mat.set_defaults(func=_cmd_matrix)
 
     p_or = sub.add_parser("oracle", help="brute-force a problem")

@@ -316,9 +316,8 @@ def minimize_continuous(
     x0: np.ndarray,
     box: BoxDomain,
     method: str = "quasi-newton",
-    options: dict | None = None,
 ) -> tuple[np.ndarray, SearchTrace]:
-    return make_minimizer(method, options).minimize(fn, x0, box)
+    return make_minimizer(method).minimize(fn, x0, box)
 
 
 def steepest_descent_discrete(
@@ -363,7 +362,6 @@ def verify_descent_contract(
     x0: np.ndarray,
     box: BoxDomain,
     method: str = "quasi-newton",
-    options: dict | None = None,
 ) -> ContractReport:
     """Run a minimizer twice and compare bitwise; also check descent.
 
@@ -372,8 +370,8 @@ def verify_descent_contract(
     not to exceed the starting value (the projected start, if ``x0`` lay
     outside the box).
     """
-    x1, t1 = minimize_continuous(fn, x0, box, method, options)
-    x2, t2 = minimize_continuous(fn, x0, box, method, options)
+    x1, t1 = minimize_continuous(fn, x0, box, method)
+    x2, t2 = minimize_continuous(fn, x0, box, method)
     deterministic = (
         np.array_equal(x1, x2)
         and t1.final_value == t2.final_value

@@ -35,9 +35,10 @@ left by an earlier call.
 
 Evaluation accounting: every objective evaluation (including candidate
 ordering, neighborhood argmins, and the objective evaluation embedded
-in each filled value unless the objective's ``count_in_filled`` is off)
-charges ``n_fu``, and every filled evaluation (including the per-escape
-bound check and the D1/DC2 condition checks) charges ``n_fill``. The
+in each filled value) charges ``n_fu``, and every filled evaluation
+(including the per-escape bound check and the D1/DC2 condition checks)
+charges ``n_fill``, so ``n_fu - n_fill`` counts the objective
+evaluations made outside filled values. The
 run record owns two memos, each of at most ``filled._MEMO_SIZE`` values,
 the oldest dropped first. One holds the objective at the lattice points
 the solve evaluated, and serves ``f(start)``, phase 1's lattice descent,

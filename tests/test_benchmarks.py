@@ -1,4 +1,5 @@
 """Tests for the benchmark registry and the enumeration oracle."""
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -326,10 +327,10 @@ def test_brute_force_rosenbrock_2d():
 
 
 def test_brute_force_box_override():
-    # On [0, 2]^2 the Booth values enumerate by hand to a minimum of 2
-    # at (2, 2).
+    # The oracle enumerates the problem's own box. On [0, 2]^2 the Booth
+    # values enumerate by hand to a minimum of 2 at (2, 2).
     box = BoxDomain(np.array([0, 0]), np.array([2, 2]))
-    x, v = brute_force_min(get_problem("booth"), box_override=box)
+    x, v = brute_force_min(dataclasses.replace(get_problem("booth"), box=box))
     assert (tuple(x), v) == ((2, 2), 2.0)
 
 

@@ -301,20 +301,19 @@ def test_main_matrix_from_config(tmp_path, capsys):
     assert (tmp_path / "demo.json").exists()
 
 
-def test_main_matrix_output_dir_falls_back_to_the_environment(
+def test_main_matrix_output_dir_is_the_flag_else_the_current_directory(
     tmp_path, monkeypatch, capsys
 ):
     cfg_path = tmp_path / "runs.json"
     cfg_path.write_text(json.dumps({"runs": [{"problem": "booth"}]}))
-    monkeypatch.chdir(tmp_path)  # the last fallback, which must stay unused
-    monkeypatch.setenv("INTFILL_OUTPUT_DIR", str(tmp_path / "env"))
-    assert main(["matrix", str(cfg_path), "--name", "t"]) == 0
-    assert (tmp_path / "env" / "t.csv").exists()
-    assert (tmp_path / "env" / "t.json").exists()
-    # --output-dir wins over the environment.
+    monkeypatch.chdir(tmp_path)
     assert main(["matrix", str(cfg_path), "--name", "t", "--output-dir", "flag"]) == 0
     assert (tmp_path / "flag" / "t.csv").exists()
+    assert (tmp_path / "flag" / "t.json").exists()
     assert not (tmp_path / "t.csv").exists()
+    assert main(["matrix", str(cfg_path), "--name", "t"]) == 0
+    assert (tmp_path / "t.csv").exists()
+    assert (tmp_path / "t.json").exists()
     assert "hit rate: 1/1 (0 errors)" in capsys.readouterr().out
 
 

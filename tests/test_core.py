@@ -424,17 +424,6 @@ def test_objective_function_charges_and_validates():
     assert c.n_fu == 2
 
 
-def test_objective_embedded_charge_follows_flag():
-    box = box2()
-    c = EvalCounter()
-    obj = ObjectiveFunction(lambda x: float(x.sum()), box, c, count_in_filled=True)
-    obj.embedded(np.array([0.5, 0.5]))
-    assert c.n_fu == 1
-    obj.count_in_filled = False
-    obj.embedded(np.array([0.5, 0.5]))
-    assert c.n_fu == 1
-
-
 # ---------------------------------------------------------------- conversions
 
 

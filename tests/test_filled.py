@@ -206,10 +206,10 @@ def test_filled_value_between_gate_levels():
 # ---------------------------------------------------------------- counted wrappers
 
 
-def make_objective(func=None, lo=-5, hi=5, n=2, count_in_filled=True):
+def make_objective(func=None, lo=-5, hi=5, n=2):
     func = func or (lambda x: float(x @ x))
     box = BoxDomain(np.array([lo] * n), np.array([hi] * n))
-    return ObjectiveFunction(func, box, EvalCounter(), count_in_filled)
+    return ObjectiveFunction(func, box, EvalCounter())
 
 
 def test_raw_at_the_anchor_is_the_anchor_filled_constant():
@@ -229,13 +229,6 @@ def test_inverse_square_raw_charges_both_counters():
     v = ff.raw(np.array([1.0, 0.0]))
     assert v == 1.5
     assert (obj.counter.n_fu, obj.counter.n_fill) == (1, 1)
-
-
-def test_inverse_square_raw_objective_charge_can_be_disabled():
-    obj = make_objective(count_in_filled=False)
-    ff = InverseSquareFilled(obj, np.array([0, 0]), 0.0, 1.0)
-    ff.raw(np.array([1.0, 0.0]))
-    assert (obj.counter.n_fu, obj.counter.n_fill) == (0, 1)
 
 
 def test_inverse_square_rejects_bad_margin():

@@ -688,18 +688,31 @@ def _solve_at_the_top_int64_bound():
     return solve(obj, np.array([top]), SolverConfig(max_evaluations=20_000))
 
 
-# ---------------------------------------------------------------- counting flags
+# ---------------------------------------------------------------- counting rule
 
 
-def test_embedded_objective_counting_flag():
-    on = solve_problem(get_problem("booth"))
+def test_n_fu_less_n_fill_counts_the_evaluations_outside_filled_values():
+    # Every objective evaluation charges n_fu, and each filled value
+    # charges n_fill and one embedded objective evaluation besides; so
+    # n_fu - n_fill is the lattice calls plus phase 1's relaxed calls.
+    class Counted(ObjectiveFunction):
+        lattice_calls = relaxed_calls = 0
+
+        def __call__(self, x):
+            value = super().__call__(x)
+            self.lattice_calls += 1
+            return value
+
+        def relaxed(self, x):
+            value = super().relaxed(x)
+            self.relaxed_calls += 1
+            return value
+
     p = get_problem("booth")
-    obj = ObjectiveFunction(p.func, p.box, EvalCounter(), count_in_filled=False)
-    off = solve(obj, np.array(p.default_start))
-    assert off.f_best == on.f_best == 0.0
-    # Every filled evaluation embeds one objective evaluation; with the
-    # flag off those no longer hit n_fu.
-    assert off.n_fu == on.n_fu - on.n_fill
+    obj = Counted(p.func, p.box, EvalCounter())
+    rep = solve(obj, np.array(p.default_start))
+    assert rep.f_best == 0.0 and rep.n_fill > 0 and obj.relaxed_calls > 0
+    assert rep.n_fu - rep.n_fill == obj.lattice_calls + obj.relaxed_calls
 
 
 # ---------------------------------------------------------------- other minimizers
