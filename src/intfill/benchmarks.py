@@ -176,7 +176,7 @@ def get_problem(name: str, n: int | None = None) -> BenchmarkProblem:
         check_number(n, f"{name}: dimension", count=True)
     if not scalable and n not in (None, dim):
         raise ParameterError(f"{name} is defined only for n={dim}")
-    n = (n or 2) if scalable else dim
+    n = (2 if n is None else n) if scalable else dim
     if n < dim:
         raise ParameterError(f"{name} needs n >= {dim}")
     return BenchmarkProblem(

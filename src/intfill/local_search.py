@@ -4,7 +4,7 @@ The continuous minimizers work on real vectors inside the box and never
 step outside it: candidate points are projected before evaluation, and
 finite-difference probes are clamped with the actual spread in the
 denominator. Both are deterministic: same function, same start, same
-options, same result. That determinism is a contract the solver relies
+settings, same result. That determinism is a contract the solver relies
 on and `verify_descent_contract` spot-checks.
 
 The discrete driver is plain steepest descent on the unit-step
@@ -13,8 +13,6 @@ neighborhood with a fixed scan order for ties.
 from __future__ import annotations
 
 import dataclasses
-import functools
-import inspect
 import math
 from typing import Callable
 
@@ -241,7 +239,7 @@ class QuasiNewton:
                     left = ident - rho * (col * yk)
                     hess_inv = left.dot(hess_inv).dot(left.T) + rho * (col * prev_s)
                 prev_g = prev_s = None
-            if max(map(abs, gs)) <= _GRAD_TOL:
+            if max(map(abs, gs), default=0.0) <= _GRAD_TOL:
                 termination = "converged"
                 break
             d = (-hess_inv).dot(g)
@@ -284,31 +282,20 @@ class QuasiNewton:
         return x, SearchTrace(start_value, fx, steps, termination, nev)
 
 
-MINIMIZERS: dict[str, type] = {
+MINIMIZERS: dict[str, Callable] = {  # each called with no arguments
     "compass": CompassSearch,
     "quasi-newton": QuasiNewton,
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _option_names(cls: type) -> tuple[str, ...]:
-    return tuple(inspect.signature(cls).parameters)  # dataclass or not
-
-
-def make_minimizer(method: str, options: dict | None = None):
+def make_minimizer(method: str):
+    """A new instance of ``MINIMIZERS[method]``, built with no arguments."""
     try:
         cls = MINIMIZERS[method]
     except (KeyError, TypeError):  # TypeError: an unhashable name
         known = ", ".join(sorted(MINIMIZERS))
         raise ParameterError(f"unknown minimizer {method!r}; known: {known}")
-    options = options or {}
-    valid = _option_names(cls)
-    unknown = sorted(set(options) - set(valid))
-    if unknown:
-        raise ParameterError(
-            f"unknown {method} options {unknown}; valid: {', '.join(valid)}"
-        )
-    return cls(**options)
+    return cls()
 
 
 def minimize_continuous(

@@ -9,24 +9,22 @@ best discrete local minimizer of the current pass):
    augmented filled function built for that pass at the margin ``r_max``;
    round the endpoint and take the best objective value over its
    neighborhood. A compass escape walk therefore stops at its first step
-   below one lattice unit (``step_tol = 0.75`` unless
-   ``filled_minimizer_options`` sets one): a finer poll moves the
-   endpoint by less than one unit, and the rounding and the neighborhood
-   argmin that follow look one unit around it anyway. Each escape event
-   records how the walk ended and how many points it evaluated. Any
-   strict improvement restarts phase 1 from the improving point.
-   Otherwise the neighbor gets another pass, with a new filled function
-   at the margin ``FilledParams.next_margin`` gives, until it gives none
-   or the endpoint lands on a box vertex.
+   below one lattice unit (``step_tol = _ESCAPE_STEP_TOL = 0.75``): a
+   finer poll moves the endpoint by less than one unit, and the rounding
+   and the neighborhood argmin that follow look one unit around it
+   anyway. Each escape event records how the walk ended and how many
+   points it evaluated. Any strict improvement restarts phase 1 from the
+   improving point. Otherwise the neighbor gets another pass, with a new
+   filled function at the margin ``FilledParams.next_margin`` gives,
+   until it gives none or the endpoint lands on a box vertex.
 
 The outer loop runs the inner search ``max_outer_iterations`` times,
 and every round starts from the incumbent: the best anchor found so
 far once it beats the start point's value, else the start. The solver
-alone sets a compass escape's ``expand``, to the round number, and
-``filled_minimizer_options`` that set it are a ``ParameterError`` when
-the solve builds the escape. A later round descends back to an anchor
-an earlier round already escaped from, so round ``k`` multiplies the
-compass step by ``k`` on each successful poll: the walk then jumps
+alone sets a compass escape's ``step_tol`` (above) and its ``expand``:
+the round number. A later round descends back to an anchor an earlier
+round already escaped from, so round ``k`` multiplies the compass step
+by ``k`` on each successful poll: the walk then jumps
 along the lattice and polls points far off its axis lines, where round
 1's unit-step walk never looked, and no two rounds replay the same walk.
 Each inner search builds its two minimizers once and reuses them for
@@ -98,7 +96,11 @@ from .filled import (
     InverseSquareFilled,
     rounding_error_check,
 )
-from .local_search import make_minimizer, steepest_descent_discrete
+from .local_search import MINIMIZERS, make_minimizer, steepest_descent_discrete
+
+# The compass escape's step_tol: its walk ends at its first step below one
+# lattice unit, as the endpoint is rounded and its neighborhood argmin'd.
+_ESCAPE_STEP_TOL = 0.75
 
 
 @dataclasses.dataclass
@@ -108,9 +110,7 @@ class SolverConfig:
     max_outer_iterations: int = 3
     filled_params: FilledParams = dataclasses.field(default_factory=FilledParams)
     objective_minimizer: str = "quasi-newton"
-    objective_minimizer_options: dict = dataclasses.field(default_factory=dict)
     filled_minimizer: str = "compass"
-    filled_minimizer_options: dict = dataclasses.field(default_factory=dict)
     max_evaluations: int = 10_000_000
 
     def __post_init__(self) -> None:
@@ -118,9 +118,8 @@ class SolverConfig:
         for name in ("max_outer_iterations", "max_evaluations"):
             if (value := getattr(self, name)) < 1:
                 raise ParameterError(f"{name} must be an int >= 1, got {value!r}")
-        for name in ("objective_minimizer_options", "filled_minimizer_options"):
-            if not isinstance(value := getattr(self, name), dict):
-                raise ParameterError(f"{name} must be an object, got {value!r}")
+        if not isinstance(value := self.filled_params, FilledParams):
+            raise ParameterError(f"filled_params must be a FilledParams, got {value!r}")
 
 
 @dataclasses.dataclass
@@ -300,20 +299,15 @@ def _generic(
     box = obj.box
     x_start = np.asarray(x0, dtype=np.int64)
     pending_dc2: float | None = None
-    descent = make_minimizer(cfg.objective_minimizer, cfg.objective_minimizer_options)
-    escape_options = cfg.filled_minimizer_options
+    descent = make_minimizer(cfg.objective_minimizer)
     if cfg.filled_minimizer == "compass":
-        # The endpoint is rounded and its neighborhood argmin'd, so the walk
-        # ends at its first step below one lattice unit unless the config
-        # sets step_tol. Round 1 keeps the step fixed. A later round may
-        # find an anchor an earlier one walked from, and a replay cannot
-        # land anywhere new: a step that grows by a different integer
-        # factor in each round polls other lattice points, far off the
-        # axis lines of round 1's walk.
-        if "expand" in escape_options:
-            raise ParameterError("filled_minimizer_options may not set expand")
-        escape_options = {"step_tol": 0.75, **escape_options, "expand": float(outer)}
-    escape = make_minimizer(cfg.filled_minimizer, escape_options)
+        # Round 1 keeps the step fixed. A later round may find an anchor an
+        # earlier one walked from, and a replay cannot land anywhere new: a
+        # step that grows by a different integer factor in each round polls
+        # other lattice points, far off the axis lines of round 1's walk.
+        escape = MINIMIZERS["compass"](step_tol=_ESCAPE_STEP_TOL, expand=float(outer))
+    else:
+        escape = make_minimizer(cfg.filled_minimizer)
     while True:
         # Phase 1: continuous descent of f, rounding, lattice descent.
         x_cont, obj_trace = descent.minimize(obj.relaxed, x_start, box)

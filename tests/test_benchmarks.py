@@ -16,6 +16,7 @@ from intfill.benchmarks import (
     get_problem,
     registry,
 )
+from intfill.cli import main
 from intfill.core import BoxDomain, DomainError, ParameterError
 from intfill.solver import SolverConfig, solve_problem
 
@@ -202,7 +203,7 @@ def test_registry_pins_every_problem_at_its_default_dimension():
 
 
 # Scalable problems: bound, smallest n, minimizer coordinate, start pattern.
-# n = 0 selects the default dimension 2, like n = None.
+# Only n = None selects the default dimension 2; n = 0 is below every least.
 SCALABLE_PIN = [
     ("rosenbrock", 5, 2, 1, (3,)),
     ("rastrigin", 5, 1, 0, (-1,)),
@@ -215,23 +216,35 @@ def test_scalable_problems_pin_every_dimension_up_to_ten(
     name, bound, least, coord, pattern
 ):
     for n in range(11):
-        m = n or 2
-        if m < least:
+        if n < least:
             with pytest.raises(ParameterError, match=f"needs n >= {least}"):
                 get_problem(name, n)
             continue
         expected = (
-            m,
-            (-bound,) * m,
-            (bound,) * m,
-            (coord,) * m,
+            n,
+            (-bound,) * n,
+            (bound,) * n,
+            (coord,) * n,
             0.0,
-            (pattern * 10)[:m],
+            (pattern * 10)[:n],
             1.0,
             name + "_value",
         )
         assert _pin(get_problem(name, n)) == expected
         assert _pin(PROBLEM_FACTORIES[name](n)) == expected
+
+
+@pytest.mark.parametrize(
+    "name,least", [("rosenbrock", 2), ("rastrigin", 1), ("salomon", 1)]
+)
+def test_dimension_zero_of_a_scalable_problem_is_a_parameter_error(
+    name, least, capsys
+):
+    # n = 0 once selected the default n = 2, so `--n 0` solved at n = 2.
+    with pytest.raises(ParameterError, match=f"{name} needs n >= {least}"):
+        get_problem(name, 0)
+    assert main(["run", "--problem", name, "--n", "0"]) == 2
+    assert f"error: {name} needs n >= {least}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["rosenbrock", "colville"])

@@ -319,11 +319,11 @@ def test_main_matrix_output_dir_is_the_flag_else_the_current_directory(
 
 @pytest.mark.parametrize("copies", [1, 2])
 def test_main_matrix_records_untyped_row_errors(tmp_path, capsys, copies):
-    # Bad minimizer options, option fields, run entries that are not
-    # objects and a start pattern that is not a sequence are typed errors.
-    # Each row records its error and the batch goes on. All rows run in
-    # one process, so a second copy of the batch must record the same
-    # rows: a failed row leaves nothing behind for the rows after it.
+    # Minimizer options (no config field takes them), run entries that are
+    # not objects and a start pattern that is not a sequence are typed
+    # errors. Each row records its error and the batch goes on. All rows
+    # run in one process, so a second copy of the batch must record the
+    # same rows: a failed row leaves nothing behind for the rows after it.
     filled_options = {"filled_minimizer_options": {"foo": 1}}
     objective_options = {"objective_minimizer_options": {"max_iterations": "x"}}
     config = {
@@ -347,12 +347,13 @@ def test_main_matrix_records_untyped_row_errors(tmp_path, capsys, copies):
     assert len(all_records) == 6 * copies
     for copy in range(copies):
         records = all_records[6 * copy:6 * (copy + 1)]
-        assert "unknown compass options ['foo']" in records[0]["error"]
-        assert "quasi-newton option max_iterations" in records[1]["error"]
+        unknown = "unknown config keys: ['{}_minimizer_options']"
+        assert records[0]["error"] == unknown.format("filled")
+        assert records[1]["error"] == unknown.format("objective")
         assert records[2]["error"] == "start_pattern: expected a 1-d point, got shape ()"
         assert records[3]["error"] is None and records[3]["hit"] is True
         assert records[4]["error"] == "run spec must be an object, got 5"
-        assert records[5]["error"] == "objective_minimizer_options must be an object, got 5"
+        assert records[5]["error"] == unknown.format("objective")
 
 
 def test_main_matrix_records_malformed_problems_and_configs(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the continuous minimizers and discrete descent."""
 import collections
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -577,25 +578,14 @@ def test_projected_step_is_box_clamp_bit_for_bit():
 
 
 def test_make_minimizer_dispatch_and_options():
-    m = make_minimizer("compass", {"step_tol": 2.0})
-    assert isinstance(m, CompassSearch) and m.step_tol == 2.0
+    m = make_minimizer("compass")
+    assert isinstance(m, CompassSearch) and m == CompassSearch()
     assert isinstance(make_minimizer("quasi-newton"), QuasiNewton)
-    # Option names are cached per class; instances are not.
+    # Each call builds a new instance.
     assert make_minimizer("compass") is not make_minimizer("compass")
-    with pytest.raises(ParameterError):
-        make_minimizer("annealing")
-
-
-def test_make_minimizer_rejects_unknown_option_names():
-    with pytest.raises(ParameterError, match=r"compass options \['foo'\]; valid"):
-        make_minimizer("compass", {"foo": 1})
-
-
-def test_non_numeric_grad_step_is_a_parameter_error():
-    # The difference step is a fixed constant: any value is an unknown option.
-    message = r"unknown quasi-newton options \['grad_step'\]"
-    with pytest.raises(ParameterError, match=message):
-        make_minimizer("quasi-newton", {"grad_step": "x"})
+    for name in ("annealing", ["compass"]):
+        with pytest.raises(ParameterError, match="unknown minimizer"):
+            make_minimizer(name)
 
 
 def test_non_numeric_compass_step_is_a_parameter_error():
@@ -605,7 +595,7 @@ def test_non_numeric_compass_step_is_a_parameter_error():
 
 def test_string_count_is_rejected_when_the_minimizer_is_built():
     with pytest.raises(ParameterError, match="quasi-newton option max_iterations"):
-        make_minimizer("quasi-newton", {"max_iterations": "5"})
+        QuasiNewton(max_iterations="5")
 
 
 # Settings that were options once and are module constants now.
@@ -631,14 +621,14 @@ FIXED_SETTINGS = {"shrink", "initial_step", "grad_tol", "max_backtracks", "max_l
     ],
 )
 def test_malformed_option_values_name_minimizer_and_option(cls, option, value):
-    method = next(name for name, c in MINIMIZERS.items() if c is cls)
     if option in FIXED_SETTINGS:
-        # A fixed constant is no option: any value given for it is malformed.
-        message = rf"unknown {method} options \['{option}'\]"
-    else:
-        message = f"{method} option {option} must be"
-    with pytest.raises(ParameterError, match=message):
-        make_minimizer(method, {option: value})
+        # A fixed constant is no constructor argument, whatever its value.
+        with pytest.raises(TypeError, match=f"{cls.__name__}.*'{option}'"):
+            cls(**{option: value})
+        return
+    method = next(name for name, c in MINIMIZERS.items() if c is cls)
+    with pytest.raises(ParameterError, match=f"{method} option {option} must be"):
+        cls(**{option: value})
 
 
 def test_integer_and_numpy_option_values_are_accepted():
@@ -647,7 +637,7 @@ def test_integer_and_numpy_option_values_are_accepted():
 
 
 def test_count_beyond_the_float_range_is_accepted():
-    m = make_minimizer("compass", {"max_iterations": 10**400})
+    m = CompassSearch(max_iterations=10**400)
     x, trace = m.minimize(sphere, np.array([3.0, 3.0]), box2())
     assert trace.termination == "converged"
 
@@ -691,19 +681,27 @@ def test_contract_catches_randomized_minimizer():
         del MINIMIZERS["jitter"]
 
 
-def test_custom_minimizer_rejects_unknown_option_names():
+def test_custom_minimizer_is_built_with_no_arguments():
     class Fixed:
         def __init__(self, step=1.0):
             self.step = step
 
+    class Broken:
+        def __init__(self):
+            raise TypeError("broken on purpose")
+
     MINIMIZERS["fixed"] = Fixed
+    MINIMIZERS["broken"] = Broken
     try:
-        assert make_minimizer("fixed", {"step": 2.0}).step == 2.0
-        message = r"fixed options \['foo'\]; valid: step"
-        with pytest.raises(ParameterError, match=message):
-            make_minimizer("fixed", {"foo": 1})
+        assert make_minimizer("fixed").step == 1.0
+        # A fixed setting is registered as a subclass or a partial.
+        MINIMIZERS["fixed"] = functools.partial(Fixed, step=2.0)
+        assert make_minimizer("fixed").step == 2.0
+        # The class's own error is not reported as an unknown name.
+        with pytest.raises(TypeError, match="broken on purpose"):
+            make_minimizer("broken")
     finally:
-        del MINIMIZERS["fixed"]
+        del MINIMIZERS["fixed"], MINIMIZERS["broken"]
 
 
 # ---------------------------------------------------------------- discrete descent

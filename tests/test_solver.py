@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import intfill.filled
 import intfill.solver
 from intfill.benchmarks import get_problem
+from intfill.cli import config_from_dict
 from intfill.core import (
     BoxDomain,
     BudgetExhausted,
@@ -26,7 +27,7 @@ from intfill.filled import (
     InverseSquareFilled,
     lattice_penalty,
 )
-from intfill.local_search import MINIMIZERS, CompassSearch, make_minimizer
+from intfill.local_search import MINIMIZERS, CompassSearch
 from intfill.solver import (
     SolverConfig,
     SolveReport,
@@ -112,30 +113,28 @@ def test_config_rejects_malformed_counts(field, value):
 )
 @pytest.mark.parametrize("value", [5, None, ["grad_step"], "x"])
 def test_config_rejects_minimizer_options_that_are_not_objects(field, value):
-    with pytest.raises(ParameterError, match=f"{field} must be an object"):
-        SolverConfig(**{field: value})
+    # A minimizer is chosen by name alone: no config has an options field,
+    # so one is rejected whatever its value, an object included.
+    for options in (value, {}):
+        with pytest.raises(TypeError, match=field):
+            SolverConfig(**{field: options})
+        with pytest.raises(ParameterError, match=rf"unknown config keys: \['{field}'\]"):
+            config_from_dict({field: options})
 
 
 def test_config_rejects_an_expand_for_the_compass_escape():
-    # The solver sets the compass escape's expand to the outer round, and
-    # reports one in the options where it builds the escape.
-    cfg = SolverConfig(filled_minimizer_options={"expand": 2.0})
-    with pytest.raises(ParameterError, match="filled_minimizer_options.*expand"):
-        solve_problem(get_problem("booth"), cfg=cfg)
-    # A compass descent keeps its expand option.
-    cfg = SolverConfig(
-        objective_minimizer="compass", objective_minimizer_options={"expand": 2.0}
-    )
-    assert cfg.objective_minimizer_options == {"expand": 2.0}
+    # The solver alone sets the compass escape's expand, to the outer round;
+    # a CLI config has no field that could set it.
+    with pytest.raises(ParameterError, match="unknown config keys"):
+        config_from_dict({"filled_minimizer_options": {"expand": 2.0}})
 
 
-def test_expand_set_after_the_config_is_built_is_rejected_at_solve_time():
-    cfg = SolverConfig()
-    cfg.filled_minimizer_options["expand"] = 5.0
-    counter = EvalCounter()
-    with pytest.raises(ParameterError, match="filled_minimizer_options.*expand"):
-        solve_problem(get_problem("booth"), cfg=cfg, counter=counter)
-    assert counter.limit is None
+@pytest.mark.parametrize("value", [{"r_max": 2.0}, None, 1.0])
+def test_config_rejects_filled_params_that_are_not_filled_params(value):
+    # A dict here once built a config whose solve failed on its first
+    # margin lookup, with an AttributeError.
+    with pytest.raises(ParameterError, match="filled_params must be a FilledParams"):
+        SolverConfig(filled_params=value)
 
 
 def test_config_accepts_numpy_and_huge_counts():
@@ -528,37 +527,41 @@ def test_solve_trajectory_is_pinned_without_its_counters(
 
 
 WALK_FIELDS = ("escape_termination", "escape_evaluations")
-FINE_WALK = {"filled_minimizer_options": {"step_tol": 1e-6}}
+
+
+@pytest.fixture
+def fine_walk(monkeypatch):
+    """Compass escapes refine their endpoints down to a step of 1e-6."""
+    monkeypatch.setattr(intfill.solver, "_ESCAPE_STEP_TOL", 1e-6)
 
 
 @pytest.mark.parametrize("name,start,options,digest", [
-    ("booth", (0, 0), FINE_WALK, "0e65f23b4406157c"),
-    ("leon", (10, 10), FINE_WALK, "e69bac83d1c2b3ea"),
-    ("three-hump-camel", (2, 2), FINE_WALK, "c08a1671a3219913"),
-    ("booth", (0, 0), {"max_evaluations": 200, **FINE_WALK}, "dc1a1efbdc94c025"),
+    ("booth", (0, 0), {}, "0e65f23b4406157c"),
+    ("leon", (10, 10), {}, "e69bac83d1c2b3ea"),
+    ("three-hump-camel", (2, 2), {}, "c08a1671a3219913"),
+    ("booth", (0, 0), {"max_evaluations": 200}, "dc1a1efbdc94c025"),
     ("booth", (0, 0), {"filled_minimizer": "quasi-newton"}, "89c13e51181ffaf8"),
 ])
 def test_a_walk_to_step_tol_1e_6_replays_the_sub_unit_escapes(
-    name, start, options, digest, memo_off
+    name, start, options, digest, memo_off, fine_walk
 ):
     # The digests of the solver whose compass escape refined its endpoint
     # down to a step of 1e-6, before escape events recorded how each walk
-    # ended and before solves remembered filled values. That walk is still
-    # reachable through the config, and the quasi-newton escape, which
-    # takes no step_tol, is unchanged.
+    # ended and before solves remembered filled values. The quasi-newton
+    # escape, which takes no step_tol, is unchanged.
     rep = solve_problem(get_problem(name), x0=start, cfg=SolverConfig(**options))
     assert report_digest(rep, drop=WALK_FIELDS) == digest
 
 
 @pytest.mark.parametrize("name,start,options,digest", [
-    ("booth", (0, 0), FINE_WALK, "b0816e1bfd818380"),
-    ("leon", (10, 10), FINE_WALK, "76a953ac052d7c71"),
-    ("three-hump-camel", (2, 2), FINE_WALK, "5abad3ccbaf4743a"),
-    ("booth", (0, 0), {"max_evaluations": 200, **FINE_WALK}, "092153e488396031"),
+    ("booth", (0, 0), {}, "b0816e1bfd818380"),
+    ("leon", (10, 10), {}, "76a953ac052d7c71"),
+    ("three-hump-camel", (2, 2), {}, "5abad3ccbaf4743a"),
+    ("booth", (0, 0), {"max_evaluations": 200}, "092153e488396031"),
     ("booth", (0, 0), {"filled_minimizer": "quasi-newton"}, "c31c6081a07dc7c7"),
 ])
 def test_a_walk_to_step_tol_1e_6_with_the_filled_memo_is_pinned(
-    name, start, options, digest
+    name, start, options, digest, fine_walk
 ):
     # The same solves as above with the memos on: lattice values and
     # filled values are each computed once while remembered.
@@ -670,6 +673,17 @@ def test_solve_on_a_single_point_box():
     assert rep.d1_checks == [d1] * 3
 
 
+@pytest.mark.parametrize("minimizer", ["quasi-newton", "compass"])
+def test_solve_on_a_zero_coordinate_box(minimizer):
+    # The quasi-newton gradient test once took the max of no coordinates
+    # and ended the solve with a bare ValueError.
+    empty = np.zeros(0, dtype=np.int64)
+    obj = ObjectiveFunction(lambda x: 1.0, BoxDomain(empty, empty), EvalCounter())
+    rep = solve(obj, empty, SolverConfig(objective_minimizer=minimizer))
+    assert rep.x_best == () and rep.f_best == 1.0
+    assert rep.termination == "max_iterations"
+
+
 def test_solve_at_the_top_int64_bound_keeps_its_endpoint():
     # Phase 1 ends at 2.0**63, the float64 image of the top bound. Rounded
     # by a wrapping cast it would land at -2**63, be clamped to 0, and the
@@ -724,7 +738,7 @@ def test_n_fu_less_n_fill_counts_the_evaluations_outside_filled_values():
 )
 def test_quasi_newton_escapes_over_three_rounds(name, minimum, columns):
     # Round k >= 2 widens only a compass escape: QuasiNewton has no
-    # ``expand`` option, and forwarding one would be a ParameterError.
+    # ``expand`` setting, and is built with none.
     cfg = SolverConfig(filled_minimizer="quasi-newton")
     rep = solve_problem(get_problem(name), cfg=cfg)
     assert rep.x_best == minimum and rep.outer_iterations == 3
@@ -735,14 +749,16 @@ def test_quasi_newton_escapes_over_three_rounds(name, minimum, columns):
 def test_compass_escape_expand_is_the_outer_round(monkeypatch):
     built = []
 
-    def recording(method, options=None):
-        built.append((method, options))
-        return make_minimizer(method, options)
+    class Recording(CompassSearch):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
 
-    monkeypatch.setattr(intfill.solver, "make_minimizer", recording)
+    monkeypatch.setitem(MINIMIZERS, "compass", Recording)
     solve_problem(get_problem("booth"))
-    escapes = [options for method, options in built if method == "compass"]
-    assert escapes == [{"step_tol": 0.75, "expand": float(k)} for k in (1, 2, 3)]
+    # The descent is quasi-newton: every compass built is an escape.
+    escapes = [(m.step_tol, m.expand) for m in built]
+    assert escapes == [(0.75, float(k)) for k in (1, 2, 3)]
 
 
 def test_compass_descent_solves_booth():
@@ -769,7 +785,8 @@ def test_default_round_1_escapes_stay_on_the_lattice(monkeypatch, name):
     problem = get_problem(name)
     solve_problem(problem, cfg=SolverConfig(max_outer_iterations=1))
     assert calls == []
-    solve_problem(problem, cfg=SolverConfig(max_outer_iterations=1, **FINE_WALK))
+    monkeypatch.setattr(intfill.solver, "_ESCAPE_STEP_TOL", 1e-6)
+    solve_problem(problem, cfg=SolverConfig(max_outer_iterations=1))
     assert calls
 
 
