@@ -5,7 +5,8 @@ step outside it: candidate points are projected before evaluation, and
 finite-difference probes are clamped with the actual spread in the
 denominator. Both are deterministic: same function, same start, same
 settings, same result. That determinism is a contract the solver relies
-on and `verify_descent_contract` spot-checks.
+on and `verify_descent_contract` spot-checks. Both are frozen dataclasses,
+checked once when built, and end ``"budget"`` after ``_MAX_ITERATIONS``.
 
 The discrete driver is plain steepest descent on the unit-step
 neighborhood with a fixed scan order for ties.
@@ -43,6 +44,8 @@ _MAX_LINE_FAILURES = 5
 # Fixed CompassSearch settings: the first step length and each shrink's factor.
 _INITIAL_STEP = 1.0
 _SHRINK = 0.5
+# Rounds of either minimizer before a run ends "budget".
+_MAX_ITERATIONS = 10_000
 
 
 @dataclasses.dataclass
@@ -70,7 +73,7 @@ def _no_recall(key: bytes) -> None:
     return None
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class CompassSearch:
     """Pattern search polling the 2n axis directions.
 
@@ -92,7 +95,6 @@ class CompassSearch:
 
     expand: float = 1.0
     step_tol: float = 1e-6
-    max_iterations: int = 10_000
 
     def __post_init__(self) -> None:
         check_numbers(self, "compass option ")
@@ -124,7 +126,7 @@ class CompassSearch:
         extents = (u - l for l, u in zip(box.lower.tolist(), box.upper.tolist()))
         widest = float(max(extents, default=0))
         termination = "budget"
-        for _ in range(self.max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             if step < self.step_tol:
                 termination = "converged"
                 break
@@ -152,12 +154,11 @@ class CompassSearch:
                 x = base = best
                 fx, xs = best_val, x.tolist()
                 steps += 1
-                if self.expand > 1:
-                    step = min(step * self.expand, max(step, widest))
+                step = min(step * self.expand, max(step, widest))
         return x, SearchTrace(start_value, fx, steps, termination, nev)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class QuasiNewton:
     """BFGS with projected iterates and finite-difference gradients.
 
@@ -173,13 +174,8 @@ class QuasiNewton:
     (relative reduction, L-BFGS-B's ``factr = 1e7`` test).
     It ends ``"non_finite"`` at a gradient that is not finite,
     ``"line_search_failure"`` after ``_MAX_LINE_FAILURES`` consecutive
-    failed line searches, and ``"budget"`` at the iteration cap.
+    failed line searches, and ``"budget"`` after ``_MAX_ITERATIONS``.
     """
-
-    max_iterations: int = 10_000
-
-    def __post_init__(self) -> None:
-        check_numbers(self, "quasi-newton option ")
 
     def _gradient(
         self, fn: Objective, x: np.ndarray, lo: list[float], hi: list[float]
@@ -217,7 +213,7 @@ class QuasiNewton:
         line_failures = 0
         stalled = False
         termination = "budget"
-        for _ in range(self.max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             g, k = self._gradient(fn, x, lo, hi)
             nev += k
             gs = g.tolist()

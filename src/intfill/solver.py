@@ -29,7 +29,8 @@ along the lattice and polls points far off its axis lines, where round
 1's unit-step walk never looked, and no two rounds replay the same walk.
 Each inner search builds its two minimizers once and reuses them for
 every descent and escape pass, so ``minimize`` must not depend on state
-left by an earlier call.
+left by an earlier call; both built-in minimizers, like ``SolverConfig``,
+are frozen dataclasses, checked once when built.
 
 Evaluation accounting: every objective evaluation (including candidate
 ordering, neighborhood argmins, and the objective evaluation embedded
@@ -103,9 +104,9 @@ from .local_search import MINIMIZERS, make_minimizer, steepest_descent_discrete
 _ESCAPE_STEP_TOL = 0.75
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class SolverConfig:
-    """Tunables for one solve. Defaults match the acceptance setup."""
+    """Frozen settings of one solve. Defaults match the acceptance setup."""
 
     max_outer_iterations: int = 3
     filled_params: FilledParams = dataclasses.field(default_factory=FilledParams)
@@ -375,7 +376,10 @@ def solve(
     already present on the counter is respected when it is tighter than
     the configured budget, and is restored on return and on any error.
     """
-    cfg = cfg or SolverConfig()
+    if cfg is None:
+        cfg = SolverConfig()
+    elif not isinstance(cfg, SolverConfig):
+        raise ParameterError(f"cfg must be a SolverConfig, got {cfg!r}")
     start = as_int_point(x0)
     if not obj.box.contains(start):
         raise DomainError(f"start {start!r} outside the box")
@@ -431,7 +435,6 @@ def solve_problem(
     counter: EvalCounter | None = None,
 ) -> SolveReport:
     """Wire a benchmark problem into a counted solve."""
-    cfg = cfg or SolverConfig()
     counter = counter if counter is not None else EvalCounter()
     obj = ObjectiveFunction(problem.func, problem.box, counter)
     return solve(obj, problem.default_start if x0 is None else x0, cfg)

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from intfill import local_search
 from intfill.benchmarks import get_problem
 from intfill.core import (
     BoxDomain,
@@ -64,7 +65,7 @@ def recorded(fn):
     return wrapper, calls
 
 
-def accepted_iterates(minimizer, fn, x0, box, rounds):
+def accepted_iterates(monkeypatch, minimizer, fn, x0, box, rounds):
     """``(point, value)`` of each iterate accepted in the first ``rounds`` rounds.
 
     Runs are deterministic, so the run capped at ``k`` iterations ends at
@@ -72,8 +73,8 @@ def accepted_iterates(minimizer, fn, x0, box, rounds):
     """
     iterates = []
     for k in range(rounds):
-        capped = dataclasses.replace(minimizer, max_iterations=k)
-        x, trace = capped.minimize(fn, x0, box)
+        monkeypatch.setattr(local_search, "_MAX_ITERATIONS", k)
+        x, trace = minimizer.minimize(fn, x0, box)
         if trace.accepted_steps == len(iterates):
             iterates.append((x, trace.final_value))
     return iterates
@@ -97,9 +98,9 @@ def test_compass_trace_counts_every_evaluation():
     assert trace.final_value == min(v for _, v in calls) == sphere(x)
 
 
-def test_compass_values_strictly_decrease():
+def test_compass_values_strictly_decrease(monkeypatch):
     iterates = accepted_iterates(
-        CompassSearch(), booth, np.array([-8.0, -8.0]), box2(-10, 10), 40
+        monkeypatch, CompassSearch(), booth, np.array([-8.0, -8.0]), box2(-10, 10), 40
     )
     diffs = np.diff([v for _, v in iterates])
     assert len(diffs) > 5 and np.all(diffs < 0)
@@ -112,18 +113,18 @@ def test_compass_respects_box():
     assert in_box(box2(), [p for p, _ in calls])
 
 
-def test_compass_iteration_cap_reports_budget():
-    _, trace = CompassSearch(max_iterations=3).minimize(
-        sphere, np.array([4.0, 4.0]), box2()
-    )
+def test_compass_iteration_cap_reports_budget(monkeypatch):
+    monkeypatch.setattr(local_search, "_MAX_ITERATIONS", 3)
+    _, trace = CompassSearch().minimize(sphere, np.array([4.0, 4.0]), box2())
     assert trace.termination == "budget"
 
 
-def test_compass_skips_projected_identity_polls():
+def test_compass_skips_projected_identity_polls(monkeypatch):
     # From a corner with an interior minimum, the two outward polls
     # project back onto the corner and must not be evaluated.
     fn, calls = recorded(sphere)
-    CompassSearch(max_iterations=1).minimize(fn, np.array([5.0, 5.0]), box2())
+    monkeypatch.setattr(local_search, "_MAX_ITERATIONS", 1)
+    CompassSearch().minimize(fn, np.array([5.0, 5.0]), box2())
     assert len(calls) == 3  # start + two inward polls
 
 
@@ -134,23 +135,22 @@ def test_compass_option_validation():
         CompassSearch(expand=0.5)
 
 
-def test_compass_expanding_step_stays_on_lattice_until_first_shrink():
+def test_compass_expanding_step_stays_on_lattice_until_first_shrink(monkeypatch):
     # Moving away from the origin succeeds every round, so the step
     # doubles: 1, 2, 4, 8 from x0 = 1 gives 2, 4, 8, 16, then the cap.
     away, calls = recorded(lambda x: -float(np.asarray(x) @ np.asarray(x)))
     box = BoxDomain(np.array([-100, -100]), np.array([100, 100]))
     compass = CompassSearch(expand=2.0)
-    iterates = accepted_iterates(compass, away, np.array([1.0, 0.0]), box, 5)
+    iterates = accepted_iterates(monkeypatch, compass, away, np.array([1.0, 0.0]), box, 5)
     assert [p[0] for p, _ in iterates] == [1.0, 2.0, 4.0, 8.0, 16.0]
     calls.clear()
-    x, _ = dataclasses.replace(compass, max_iterations=5).minimize(
-        away, np.array([1.0, 0.0]), box
-    )
+    monkeypatch.setattr(local_search, "_MAX_ITERATIONS", 5)
+    x, _ = compass.minimize(away, np.array([1.0, 0.0]), box)
     assert x.dtype == np.float64
     assert all(float(v).is_integer() for p, _ in calls for v in p)
 
 
-def test_compass_expanding_step_capped_at_box_width():
+def test_compass_expanding_step_capped_at_box_width(monkeypatch):
     # Uncapped, two successes would take the step to inf and the polls
     # to inf * 0 = nan coordinates.
     polled = []
@@ -159,30 +159,30 @@ def test_compass_expanding_step_capped_at_box_width():
         polled.append(np.array(x))
         return -float(x[0])
 
-    x, trace = CompassSearch(expand=1e200, max_iterations=200).minimize(
-        fn, np.array([0.0, 0.0]), box2()
-    )
+    monkeypatch.setattr(local_search, "_MAX_ITERATIONS", 200)
+    x, trace = CompassSearch(expand=1e200).minimize(fn, np.array([0.0, 0.0]), box2())
     assert x[0] == 5.0
     assert trace.termination == "converged"
     assert in_box(box2(), polled)
 
 
-def test_compass_default_step_does_not_expand():
+def test_compass_default_step_does_not_expand(monkeypatch):
     x0, box = np.array([-8.0, -8.0]), box2(-10, 10)
     fixed_fn, fixed = recorded(booth)
     unit_fn, unit = recorded(booth)
     CompassSearch().minimize(fixed_fn, x0, box)
     CompassSearch(expand=1.0).minimize(unit_fn, x0, box)
     assert [(p.tolist(), v) for p, v in fixed] == [(p.tolist(), v) for p, v in unit]
-    iterates = accepted_iterates(CompassSearch(), booth, x0, box, 40)
+    iterates = accepted_iterates(monkeypatch, CompassSearch(), booth, x0, box, 40)
     steps = np.abs(np.diff([p for p, _ in iterates], axis=0)).sum(axis=1)
     assert len(steps) > 5 and np.all(steps <= 1.0)
 
 
-def test_compass_expands_in_a_box_wider_than_int64():
+def test_compass_expands_in_a_box_wider_than_int64(monkeypatch):
     # upper - lower = 2**64 - 2 wraps in int64; the step must still double.
     box = BoxDomain(np.array([-(2**63) + 1]), np.array([2**63 - 1]))
-    compass = CompassSearch(expand=2.0, max_iterations=70)
+    monkeypatch.setattr(local_search, "_MAX_ITERATIONS", 70)
+    compass = CompassSearch(expand=2.0)
     x, trace = compass.minimize(lambda x: -float(x[0]), np.array([0.0]), box)
     assert x[0] == 2.0**63 and trace.accepted_steps == 63
 
@@ -204,7 +204,7 @@ def reference_compass(compass, fn, x0, box):
     widest = float(max(int(u) - int(l) for l, u in zip(box.lower, box.upper)))
     dirs = [d for e in np.eye(box.dimension) for d in (0.0 - e, e)]  # -e1, +e1, ...
     termination = "budget"
-    for _ in range(compass.max_iterations):
+    for _ in range(local_search._MAX_ITERATIONS):
         if step < compass.step_tol:
             termination = "converged"
             break
@@ -315,11 +315,12 @@ def reference_starts(box):
 
 @pytest.mark.parametrize("fn_name", sorted(REFERENCE_FUNCTIONS))
 @pytest.mark.parametrize("box_name", sorted(REFERENCE_BOXES))
-def test_compass_matches_reference_trajectory(box_name, fn_name):
+def test_compass_matches_reference_trajectory(monkeypatch, box_name, fn_name):
     box = REFERENCE_BOXES[box_name]
     for start_name, x0 in reference_starts(box).items():
         for expand, cap in itertools.product((1, 2, 3), (25, 7)):
-            compass = CompassSearch(expand=expand, step_tol=1e-3, max_iterations=cap)
+            monkeypatch.setattr(local_search, "_MAX_ITERATIONS", cap)
+            compass = CompassSearch(expand=expand, step_tol=1e-3)
             runs = []
             for minimize in (reference_compass, CompassSearch.minimize):
                 fn, counter = REFERENCE_FUNCTIONS[fn_name], None
@@ -436,9 +437,9 @@ def test_quasi_newton_step_off_an_infinite_start_is_no_stall():
     assert np.allclose(x, 0.0, atol=1e-6) and trace.final_value < 1e-12
 
 
-def test_quasi_newton_values_never_increase():
+def test_quasi_newton_values_never_increase(monkeypatch):
     iterates = accepted_iterates(
-        QuasiNewton(), booth, np.array([10.0, -10.0]), box2(-10, 10), 12
+        monkeypatch, QuasiNewton(), booth, np.array([10.0, -10.0]), box2(-10, 10), 12
     )
     diffs = np.diff([v for _, v in iterates])
     assert len(diffs) > 2 and np.all(diffs <= 0)
@@ -467,7 +468,7 @@ def reference_quasi_newton(qn, fn, x0, box):
     scaled = False
     line_failures = 0
     termination = "budget"
-    for _ in range(qn.max_iterations):
+    for _ in range(local_search._MAX_ITERATIONS):
         g, k = qn._gradient(fn, x, lo, hi)
         nev += k
         if not np.all(np.isfinite(g)):
@@ -594,12 +595,18 @@ def test_non_numeric_compass_step_is_a_parameter_error():
 
 
 def test_string_count_is_rejected_when_the_minimizer_is_built():
-    with pytest.raises(ParameterError, match="quasi-newton option max_iterations"):
-        QuasiNewton(max_iterations="5")
+    # The iteration cap is the module constant _MAX_ITERATIONS, so a
+    # count is no constructor argument of either minimizer.
+    for cls in (QuasiNewton, CompassSearch):
+        with pytest.raises(TypeError, match=f"{cls.__name__}.*'max_iterations'"):
+            cls(max_iterations="5")
 
 
 # Settings that were options once and are module constants now.
-FIXED_SETTINGS = {"shrink", "initial_step", "grad_tol", "max_backtracks", "max_line_failures"}
+FIXED_SETTINGS = {
+    "shrink", "initial_step", "grad_tol", "max_backtracks", "max_line_failures",
+    "max_iterations",
+}
 
 
 @pytest.mark.parametrize(
@@ -633,12 +640,20 @@ def test_malformed_option_values_name_minimizer_and_option(cls, option, value):
 
 def test_integer_and_numpy_option_values_are_accepted():
     assert CompassSearch(step_tol=2, expand=np.float64(3.0)).step_tol == 2
-    assert QuasiNewton(max_iterations=np.int64(7)).max_iterations == 7
 
 
-def test_count_beyond_the_float_range_is_accepted():
-    m = CompassSearch(max_iterations=10**400)
-    x, trace = m.minimize(sphere, np.array([3.0, 3.0]), box2())
+def test_minimizers_cannot_be_assigned_after_their_check():
+    # step_tol = -1.0 assigned after the check once ran a sphere walk to
+    # the iteration cap: 4,421 evaluations ending "budget".
+    compass = CompassSearch()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        compass.step_tol = -1.0
+    for field in dataclasses.fields(CompassSearch):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(compass, field.name, getattr(compass, field.name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        QuasiNewton().max_iterations = 5
+    _, trace = compass.minimize(sphere, np.array([3.2, -4.7]), box2())
     assert trace.termination == "converged"
 
 

@@ -2,12 +2,14 @@
 import collections
 import dataclasses
 import hashlib
+import inspect
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import intfill
 import intfill.filled
 import intfill.solver
 from intfill.benchmarks import get_problem
@@ -148,6 +150,86 @@ def test_config_defaults():
     assert cfg.filled_minimizer == "compass"
     assert cfg.max_outer_iterations == 3
     assert cfg.max_evaluations == 10_000_000
+
+
+def test_count_beyond_the_float_range_is_accepted():
+    # 10**400 overflows a float; the budget stays an exact int.
+    rep = solve_problem(get_problem("booth"), cfg=SolverConfig(max_evaluations=10**400))
+    assert rep.termination == "max_iterations" and rep.f_best == 0.0
+
+
+def test_config_cannot_be_assigned_after_its_check():
+    # Assigned after the check, a dict filled_params once ended the solve in
+    # AttributeError, and max_evaluations = 0 ran it to "budget" after 15
+    # evaluations.
+    cfg = SolverConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.filled_params = {"r_max": 2.0}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.max_evaluations = 0
+    for field in dataclasses.fields(SolverConfig):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field.name, getattr(cfg, field.name))
+    rep = solve_problem(get_problem("booth"), cfg=cfg)
+    assert rep.termination == "max_iterations" and rep.f_best == 0.0
+
+
+@pytest.mark.parametrize("cfg", [{"max_evaluations": 5}, 0, [], "cfg"])
+def test_a_cfg_that_is_not_a_solver_config_is_a_parameter_error(cfg):
+    # A dict once ended in AttributeError, and a falsy 0 or [] solved with
+    # the defaults. Only None means the defaults.
+    with pytest.raises(ParameterError, match="cfg must be a SolverConfig"):
+        solve(booth_objective(), np.array([0, 0]), cfg)
+    with pytest.raises(ParameterError, match="cfg must be a SolverConfig"):
+        solve_problem(get_problem("booth"), cfg=cfg)
+
+
+# Every defaulted parameter or field of the exported names: the values a
+# caller can leave out and set. A new one fails here until it is listed.
+SETTABLE_VALUES = [
+    "AugmentedFilled(memo)",
+    "BenchmarkProblem.divisor",
+    "CompassSearch.expand",
+    "CompassSearch.step_tol",
+    "EvalCounter.n_fu",
+    "EvalCounter.n_fill",
+    "EvalCounter.limit",
+    "FilledParams.r_max",
+    "FilledParams.r_min",
+    "FilledParams.shrink_factor",
+    "SolverConfig.max_outer_iterations",
+    "SolverConfig.filled_params",
+    "SolverConfig.objective_minimizer",
+    "SolverConfig.filled_minimizer",
+    "SolverConfig.max_evaluations",
+    "get_problem(n)",
+    "minimize_continuous(method)",
+    "solve(cfg)",
+    "solve_problem(x0)",
+    "solve_problem(cfg)",
+    "solve_problem(counter)",
+    "verify_descent_contract(method)",
+]
+
+
+def test_settable_values_of_the_exported_names_are_pinned():
+    found = []
+    for name in intfill.__all__:
+        obj = getattr(intfill, name)
+        if dataclasses.is_dataclass(obj):
+            found += [
+                f"{name}.{f.name}"
+                for f in dataclasses.fields(obj)
+                if f.default is not dataclasses.MISSING
+                or f.default_factory is not dataclasses.MISSING
+            ]
+        elif callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+            found += [
+                f"{name}({p.name})"
+                for p in inspect.signature(obj).parameters.values()
+                if p.default is not inspect.Parameter.empty
+            ]
+    assert found == SETTABLE_VALUES
 
 
 # ---------------------------------------------------------------- basic solves
