@@ -16,11 +16,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BoxDomain, IntPoint, ParameterError, as_int_point, check_number
+from .core import (
+    BoxDomain, DomainError, IntPoint, ParameterError, as_int_point, check_number
+)
 
 Formula = Callable[[np.ndarray], float]
 
@@ -64,8 +67,8 @@ def rastrigin_value(x: np.ndarray) -> float:
 
 
 def colville_value(x: np.ndarray) -> float:
-    x1, x2, x3, x4 = np.asarray(x, dtype=float)
-    return float(
+    x1, x2, x3, x4 = np.asarray(x, dtype=float).tolist()
+    return (
         100.0 * (x2 - x1**2) ** 2
         + (1.0 - x1) ** 2
         + 90.0 * (x4 - x3**2) ** 2
@@ -78,19 +81,19 @@ def colville_value(x: np.ndarray) -> float:
 def goldstein_price_value(z: np.ndarray) -> float:
     # 48y in the second factor: the variant printing 4y does not attain
     # the registered minimum value 3 at (0, -1).
-    x, y = np.asarray(z, dtype=float) / 1000.0
+    x, y = [v / 1000.0 for v in np.asarray(z, dtype=float).tolist()]
     a = 1.0 + (x + y + 1.0) ** 2 * (
         19.0 - 14.0 * x + 3.0 * x**2 - 14.0 * y + 6.0 * x * y + 3.0 * y**2
     )
     b = 30.0 + (2.0 * x - 3.0 * y) ** 2 * (
         18.0 - 32.0 * x + 12.0 * x**2 + 48.0 * y - 36.0 * x * y + 27.0 * y**2
     )
-    return float(a * b)
+    return a * b
 
 
 def beale_value(z: np.ndarray) -> float:
-    x, y = np.asarray(z, dtype=float) / 1000.0
-    return float(
+    x, y = [v / 1000.0 for v in np.asarray(z, dtype=float).tolist()]
+    return (
         (1.5 - x + x * y) ** 2
         + (2.25 - x + x * y**2) ** 2
         + (2.625 - x + x * y**3) ** 2
@@ -98,8 +101,8 @@ def beale_value(z: np.ndarray) -> float:
 
 
 def powell_singular_value(z: np.ndarray) -> float:
-    x1, x2, x3, x4 = np.asarray(z, dtype=float) / 1000.0
-    return float(
+    x1, x2, x3, x4 = [v / 1000.0 for v in np.asarray(z, dtype=float).tolist()]
+    return (
         (x1 + 10.0 * x2) ** 2
         + 5.0 * (x3 - x4) ** 2
         + (x2 - 2.0 * x3) ** 4
@@ -108,8 +111,8 @@ def powell_singular_value(z: np.ndarray) -> float:
 
 
 def booth_value(x: np.ndarray) -> float:
-    x1, x2 = np.asarray(x, dtype=float)
-    return float((x1 + 2.0 * x2 - 7.0) ** 2 + (2.0 * x1 + x2 - 5.0) ** 2)
+    x1, x2 = np.asarray(x, dtype=float).tolist()
+    return (x1 + 2.0 * x2 - 7.0) ** 2 + (2.0 * x1 + x2 - 5.0) ** 2
 
 
 def quadratic_chain_value(x: np.ndarray) -> float:
@@ -122,27 +125,25 @@ def quadratic_chain_value(x: np.ndarray) -> float:
 
 
 def three_hump_camel_value(x: np.ndarray) -> float:
-    x1, x2 = np.asarray(x, dtype=float)
-    return float(
-        2.0 * x1**2 - 1.05 * x1**4 + x1**6 / 6.0 + x1 * x2 + x2**2
-    )
+    x1, x2 = np.asarray(x, dtype=float).tolist()
+    return 2.0 * x1**2 - 1.05 * x1**4 + x1**6 / 6.0 + x1 * x2 + x2**2
 
 
 def schaffer_n1_value(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     s = float(x.dot(x))
-    return float(0.5 + (np.sin(s * s) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2)
+    return 0.5 + (float(np.sin(s * s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2
 
 
 def leon_value(x: np.ndarray) -> float:
-    x1, x2 = np.asarray(x, dtype=float)
-    return float(100.0 * (x2 - x1**3) ** 2 + (1.0 - x1) ** 2)
+    x1, x2 = np.asarray(x, dtype=float).tolist()
+    return 100.0 * (x2 - x1**3) ** 2 + (1.0 - x1) ** 2
 
 
 def salomon_value(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
-    root = float(np.sqrt(x.dot(x)))
-    return float(1.0 - np.cos(2.0 * np.pi * root) + 0.1 * root)
+    root = math.sqrt(x.dot(x))
+    return 1.0 - float(np.cos(2.0 * math.pi * root)) + 0.1 * root
 
 
 # name: (n, scalable, lower, upper, minimizer, start, known value, divisor).
@@ -219,7 +220,8 @@ def brute_force_min(problem: BenchmarkProblem) -> tuple[IntPoint, float]:
         v = problem.func(p)
         if v < best_val:
             best, best_val = p, v
-    assert best is not None
+    if best is None:
+        raise DomainError(f"{problem.name}: every value in the box is NaN or +inf")
     return best, float(best_val)
 
 

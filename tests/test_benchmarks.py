@@ -1,5 +1,8 @@
 """Tests for the benchmark registry and the enumeration oracle."""
 import dataclasses
+import itertools
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +95,135 @@ def test_summed_formulas_match_np_sum_bit_for_bit(name):
             assert func(x).hex() == reference(x).hex(), (n, x)
             z = rng.integers(-10, 11, size=n)
             assert func(z).hex() == reference(z.astype(float)).hex(), (n, z)
+
+
+# The numpy-scalar form of each formula that computes on Python floats. The
+# two agree bit for bit because only IEEE basic operations, C pow and sqrt
+# run on floats; the dot products and np.sin/np.cos stay in numpy.
+def _scalar_goldstein_price(z):
+    x, y = np.asarray(z, dtype=float) / 1000.0
+    a = 1.0 + (x + y + 1.0) ** 2 * (
+        19.0 - 14.0 * x + 3.0 * x**2 - 14.0 * y + 6.0 * x * y + 3.0 * y**2
+    )
+    b = 30.0 + (2.0 * x - 3.0 * y) ** 2 * (
+        18.0 - 32.0 * x + 12.0 * x**2 + 48.0 * y - 36.0 * x * y + 27.0 * y**2
+    )
+    return float(a * b)
+
+
+def _scalar_beale(z):
+    x, y = np.asarray(z, dtype=float) / 1000.0
+    return float(
+        (1.5 - x + x * y) ** 2
+        + (2.25 - x + x * y**2) ** 2
+        + (2.625 - x + x * y**3) ** 2
+    )
+
+
+def _scalar_powell_singular(z):
+    x1, x2, x3, x4 = np.asarray(z, dtype=float) / 1000.0
+    return float(
+        (x1 + 10.0 * x2) ** 2
+        + 5.0 * (x3 - x4) ** 2
+        + (x2 - 2.0 * x3) ** 4
+        + 10.0 * (x1 - x4) ** 4
+    )
+
+
+def _scalar_colville(x):
+    x1, x2, x3, x4 = np.asarray(x, dtype=float)
+    return float(
+        100.0 * (x2 - x1**2) ** 2
+        + (1.0 - x1) ** 2
+        + 90.0 * (x4 - x3**2) ** 2
+        + (1.0 - x3) ** 2
+        + 10.1 * ((x2 - 1.0) ** 2 + (x4 - 1.0) ** 2)
+        + 19.8 * (x2 - 1.0) * (x4 - 1.0)
+    )
+
+
+def _scalar_booth(x):
+    x1, x2 = np.asarray(x, dtype=float)
+    return float((x1 + 2.0 * x2 - 7.0) ** 2 + (2.0 * x1 + x2 - 5.0) ** 2)
+
+
+def _scalar_three_hump_camel(x):
+    x1, x2 = np.asarray(x, dtype=float)
+    return float(2.0 * x1**2 - 1.05 * x1**4 + x1**6 / 6.0 + x1 * x2 + x2**2)
+
+
+def _scalar_schaffer_n1(x):
+    x = np.asarray(x, dtype=float)
+    s = float(x.dot(x))
+    return float(0.5 + (np.sin(s * s) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2)
+
+
+def _scalar_leon(x):
+    x1, x2 = np.asarray(x, dtype=float)
+    return float(100.0 * (x2 - x1**3) ** 2 + (1.0 - x1) ** 2)
+
+
+def _scalar_salomon(x):
+    x = np.asarray(x, dtype=float)
+    root = float(np.sqrt(x.dot(x)))
+    return float(1.0 - np.cos(2.0 * np.pi * root) + 0.1 * root)
+
+
+SCALAR_FORMULAS = {
+    "colville": _scalar_colville,
+    "goldstein-price": _scalar_goldstein_price,
+    "beale": _scalar_beale,
+    "powell-singular": _scalar_powell_singular,
+    "booth": _scalar_booth,
+    "three-hump-camel": _scalar_three_hump_camel,
+    "schaffer-n1": _scalar_schaffer_n1,
+    "leon": _scalar_leon,
+    "salomon": _scalar_salomon,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_FORMULAS))
+def test_float_formulas_match_their_numpy_scalar_form_bit_for_bit(name):
+    p, reference = get_problem(name), SCALAR_FORMULAS[name]
+    n = p.dimension
+    rng = np.random.default_rng(17)
+    points = [
+        rng.normal(scale=scale, size=n)
+        for scale in (1e-3, 1e-2, 0.1, 1.0, 7.0, 1e2, 1e3, 1e4, 1e5, 1e6)
+        for _ in range(60)
+    ]
+    points += [rng.integers(-(10**6), 10**6, size=n, endpoint=True) for _ in range(300)]
+    points += [p.box.random_point(rng) for _ in range(300)]
+    points += [np.array(c) for c in itertools.product(*zip(p.box.lower, p.box.upper))]
+    for x in points:
+        forms = [x, x.astype(float)] if x.dtype == np.int64 else [x]
+        for point in forms:
+            got = p.func(point)
+            assert type(got) is float, (point, type(got))
+            assert got.hex() == reference(point).hex(), point
+
+
+INT64_EDGES = (-(2**63), -1, 0, 1, 2**63 - 1)
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_FORMULAS))
+def test_float_formulas_are_finite_over_the_int64_range(name):
+    # Every int64 lattice point, and every real point in an int64 box, lies
+    # between these corners, where each formula's terms peak in size: no
+    # value within that range overflows.
+    p = get_problem(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for corner in itertools.product(INT64_EDGES, repeat=p.dimension):
+            for dtype in (np.int64, np.float64):
+                assert math.isfinite(p.func(np.array(corner, dtype=dtype))), corner
+
+
+def test_a_formula_beyond_the_float_range_raises_overflow_error():
+    # Python float ** raises where numpy's scalar ** returned inf with a
+    # RuntimeWarning; no point of an int64 box gets this far.
+    with pytest.raises(OverflowError):
+        benchmarks.booth_value([1e200, 0.0])
 
 
 # Frozen point values, each computed by hand from the formula.
@@ -359,6 +491,16 @@ def test_brute_force_tie_takes_lexicographic_first():
     )
     x, v = brute_force_min(flat)
     assert (tuple(x), v) == ((-1, -1), 0.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_brute_force_over_no_finite_value_is_a_domain_error(value, monkeypatch, capsys):
+    monkeypatch.setattr(benchmarks, "booth_value", lambda x: value)
+    with pytest.raises(DomainError, match="booth: every value in the box is NaN or"):
+        brute_force_min(get_problem("booth"))
+    assert main(["oracle", "--problem", "booth"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: booth: every value in the box is NaN or +inf\n"
 
 
 def test_brute_force_guard_refuses_large_boxes():
