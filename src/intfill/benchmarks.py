@@ -2,10 +2,10 @@
 
 Each problem is a real-valued formula over the integer decision
 variables; evaluating it at a float vector gives the continuous
-relaxation used by the continuous searches. Scaled problems (divisor
-1000) keep integer decision variables ``z`` and evaluate the classic
-formula at ``z / 1000``, so one lattice step moves the continuous
-argument by 0.001.
+relaxation used by the continuous searches. The scaled problems
+(goldstein-price, beale and powell-singular) keep integer decision
+variables ``z`` and evaluate the classic formula at ``z / 1000``, so one
+lattice step moves the continuous argument by 0.001.
 
 Known-minimizer coordinates are stored in decision space: for the
 scaled problems the classic minimizer ``(x, y)`` appears here as
@@ -36,7 +36,6 @@ class BenchmarkProblem:
     known_minimizer: tuple[int, ...]
     known_value: float
     default_start: tuple[int, ...]
-    divisor: float = 1.0
 
     @property
     def dimension(self) -> int:
@@ -146,30 +145,30 @@ def salomon_value(x: np.ndarray) -> float:
     return 1.0 - float(np.cos(2.0 * math.pi * root)) + 0.1 * root
 
 
-# name: (n, scalable, lower, upper, minimizer, start, known value, divisor).
+# name: (n, scalable, lower, upper, minimizer, start, known value).
 # A scalable problem defaults to n = 2 and needs at least n; the minimizer and
 # start patterns cycle out to the dimension. The formula is <name>_value, looked
 # up when a problem is built, because the benchmark tracer wraps those attributes.
 _TABLE: dict[str, tuple] = {
-    "rosenbrock": (2, True, -5, 5, (1,), (3,), 0.0, 1.0),
-    "rastrigin": (1, True, -5, 5, (0,), (-1,), 0.0, 1.0),
-    "colville": (4, False, -10, 10, (1,), (0,), 0.0, 1.0),
-    "goldstein-price": (2, False, -2000, 2000, (0, -1000), (1, -1), 3.0, 1000.0),
-    "beale": (2, False, -10000, 10000, (3000, 500), (0,), 0.0, 1000.0),
-    "powell-singular": (4, False, -10000, 10000, (0,), (10, -10), 0.0, 1000.0),
-    "booth": (2, False, -10, 10, (1, 3), (0,), 0.0, 1.0),
-    "quadratic-chain": (25, False, -5, 5, (1,), (2,), 0.0, 1.0),
-    "three-hump-camel": (2, False, -5, 5, (0,), (2,), 0.0, 1.0),
-    "schaffer-n1": (2, False, -100, 100, (0,), (-50, 50), 0.0, 1.0),
-    "leon": (2, False, 0, 10, (1,), (10,), 0.0, 1.0),
-    "salomon": (1, True, -100, 100, (0,), (-100, 100), 0.0, 1.0),
+    "rosenbrock": (2, True, -5, 5, (1,), (3,), 0.0),
+    "rastrigin": (1, True, -5, 5, (0,), (-1,), 0.0),
+    "colville": (4, False, -10, 10, (1,), (0,), 0.0),
+    "goldstein-price": (2, False, -2000, 2000, (0, -1000), (1, -1), 3.0),
+    "beale": (2, False, -10000, 10000, (3000, 500), (0,), 0.0),
+    "powell-singular": (4, False, -10000, 10000, (0,), (10, -10), 0.0),
+    "booth": (2, False, -10, 10, (1, 3), (0,), 0.0),
+    "quadratic-chain": (25, False, -5, 5, (1,), (2,), 0.0),
+    "three-hump-camel": (2, False, -5, 5, (0,), (2,), 0.0),
+    "schaffer-n1": (2, False, -100, 100, (0,), (-50, 50), 0.0),
+    "leon": (2, False, 0, 10, (1,), (10,), 0.0),
+    "salomon": (1, True, -100, 100, (0,), (-100, 100), 0.0),
 }
 
 
 def get_problem(name: str, n: int | None = None) -> BenchmarkProblem:
     """Build a table problem at dimension ``n`` (None: its default)."""
     try:
-        dim, scalable, lo, hi, minimizer, start, value, divisor = _TABLE[name]
+        dim, scalable, lo, hi, minimizer, start, value = _TABLE[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name
         known = ", ".join(_TABLE)
         raise ParameterError(f"unknown problem {name!r}; known: {known}") from None
@@ -187,7 +186,6 @@ def get_problem(name: str, n: int | None = None) -> BenchmarkProblem:
         known_minimizer=expand_start_pattern(minimizer, n),
         known_value=value,
         default_start=expand_start_pattern(start, n),
-        divisor=divisor,
     )
 
 

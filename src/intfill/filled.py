@@ -55,8 +55,8 @@ def smoothed_ramp(t: float, r: float) -> float:
     inside ``(-r, 0)``, with an interior critical point at
     ``-r^2 / (3 (r - 2))``.
     """
-    if r <= 0:
-        raise ParameterError(f"ramp margin must be positive, got {r}")
+    if not 0.0 < r < math.inf:  # False for NaN too
+        raise ParameterError(f"ramp margin must be positive and finite, got {r}")
     if t <= -r:
         return 0.0
     if t > 0.0:
@@ -174,8 +174,8 @@ class InverseSquareFilled:
         anchor_value: float,
         r: float,
     ) -> None:
-        if r <= 0:
-            raise ParameterError(f"ramp margin must be positive, got {r}")
+        if not 0.0 < r < math.inf:  # False for NaN too
+            raise ParameterError(f"ramp margin must be positive and finite, got {r}")
         self.objective = objective
         self.anchor = np.asarray(anchor, dtype=np.int64)
         self._anchor_real = self.anchor.astype(float)

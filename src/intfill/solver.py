@@ -52,6 +52,12 @@ recalled value charges nothing and leaves the path of the solve as it
 was. When the combined budget runs out mid-search the run is cut
 deterministically, and the evaluation it cuts stores nothing.
 
+The report's ``events`` are the one record of what a solve did, each
+stamped with ``n_fu`` and ``n_fill`` when logged (kinds in
+``EVENT_KINDS``). Phase 1 logs an ``anchor``, then its ``dc2`` check if
+the escape that led there owes one; phase 2 logs the ``d1`` check, then
+one ``escape`` per pass, which carries the pass's bound check.
+
 The run record keeps the best anchor and the best lattice point seen,
 and one exit reads them whether the rounds ran out or the budget cut
 the search: the best anchor is reported, unless a point seen beats it.
@@ -92,7 +98,6 @@ from .core import (
 from .filled import (
     ANCHOR_FILLED,
     AugmentedFilled,
-    BoundCheck,
     FilledParams,
     InverseSquareFilled,
     rounding_error_check,
@@ -123,8 +128,16 @@ class SolverConfig:
             raise ParameterError(f"filled_params must be a FilledParams, got {value!r}")
 
 
+# The kinds of event a solve logs, in the order a round first logs them.
+EVENT_KINDS = (
+    "start", "anchor", "dc2", "d1", "escape", "outer_result", "finalize_descent"
+)
+
+
 @dataclasses.dataclass
 class SolveReport:
+    """What a solve found and what it did: ``events`` is its one record."""
+
     x_best: tuple[int, ...]
     f_best: float
     n_fu: int
@@ -132,9 +145,6 @@ class SolveReport:
     termination: str
     outer_iterations: int
     events: list[dict]
-    bound_checks: list[BoundCheck]
-    d1_checks: list[dict]
-    dc2_checks: list[dict]
     wall_time: float
 
     def columns(self) -> tuple[float, int, int]:
@@ -157,9 +167,6 @@ def _beats(v: float, best: float) -> bool:
 class _RunRecord:
     obj: ObjectiveFunction | None = None  # whose lattice values ``value`` keeps
     events: list[dict] = dataclasses.field(default_factory=list)
-    bound_checks: list[BoundCheck] = dataclasses.field(default_factory=list)
-    d1_checks: list[dict] = dataclasses.field(default_factory=list)
-    dc2_checks: list[dict] = dataclasses.field(default_factory=list)
     # Best discrete local minimizer reached (anchors always are) and the
     # best lattice value seen: the start, the anchors and escape landings.
     best_anchor: tuple[IntPoint, float] | None = None
@@ -250,13 +257,8 @@ def _escape(
     worst = -np.inf
     for nb in neighbors:
         worst = max(worst, _filled_at(d1, nb))
-    rec.d1_checks.append(
-        {
-            "anchor": point_key(x_star),
-            "passed": bool(worst < ANCHOR_FILLED),
-            "anchor_filled": ANCHOR_FILLED,
-            "max_neighbor_filled": worst,
-        }
+    rec.log(
+        obj.counter, "d1", passed=bool(worst < ANCHOR_FILLED), max_neighbor_filled=worst
     )
     for candidate in sorted(neighbors, key=rec.value):
         r = params.r_max
@@ -265,7 +267,6 @@ def _escape(
             target = AugmentedFilled(filled, memo if r == params.r_max else None)
             x_esc, walk = escape.minimize(target, candidate, box)
             check = rounding_error_check(ANCHOR_FILLED, _raw_at(target, x_esc), x_esc)
-            rec.bound_checks.append(check)
             x_landed = box.clamp(round_point(x_esc))
             x_prime, f_prime = neighborhood_argmin(rec.value, x_landed, box)
             rec.note_seen(x_prime, f_prime)
@@ -283,6 +284,9 @@ def _escape(
                 value=f_prime,
                 improved=improved,
                 bound=check.status,
+                offset_sq=check.offset_sq,
+                bound_limit=check.limit,
+                point_filled=check.point_filled,
             )
             if improved:
                 dc2 = functools.partial(_filled_at, target)
@@ -328,13 +332,7 @@ def _generic(
                 status = "passed" if f_star <= pending_dc2 else "failed"
             else:
                 status = "skipped_unconverged"
-            rec.dc2_checks.append(
-                {
-                    "status": status,
-                    "previous_anchor_value": pending_dc2,
-                    "new_anchor_value": f_star,
-                }
-            )
+            rec.log(obj.counter, "dc2", status=status, previous_anchor_value=pending_dc2)
 
         # Phase 2: escape; an improvement restarts phase 1 from it.
         landing = _escape(obj, escape, x_star, f_star, cfg.filled_params, rec, outer)
@@ -421,9 +419,6 @@ def solve(
         termination=termination,
         outer_iterations=outer_done,
         events=rec.events,
-        bound_checks=rec.bound_checks,
-        d1_checks=rec.d1_checks,
-        dc2_checks=rec.dc2_checks,
         wall_time=wall,
     )
 

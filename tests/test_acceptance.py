@@ -176,10 +176,11 @@ def test_criterion_3_oracle_agreement(matrix, scaled):
 def test_criterion_4_rounding_bound_never_violated(all_reports):
     checked = skipped = failed = 0
     for rep in all_reports:
-        for check in rep.bound_checks:
-            checked += 1
-            skipped += check.status == "skipped"
-            failed += check.status == "failed"
+        for ev in rep.events:
+            if ev["kind"] == "escape":
+                checked += 1
+                skipped += ev["bound"] == "skipped"
+                failed += ev["bound"] == "failed"
     special = rounding_error_check(0.0, -1.0, np.array([0.3, 0.2]))
     special_ok = special.limit == 0.25 and special.status == "passed"
     ok = checked > 0 and failed == 0 and special_ok
@@ -256,10 +257,9 @@ def test_criterion_7_minimizer_contracts_and_filled_conditions(all_reports):
                 rep = verify_descent_contract(prob.func, x0, prob.box, method)
                 if not rep:
                     broken.append((prob.name, method, tuple(x0)))
-    d1_total = sum(len(rep.d1_checks) for rep in all_reports)
-    d1_failed = sum(
-        1 for rep in all_reports for c in rep.d1_checks if not c["passed"]
-    )
+    d1_checks = [ev for rep in all_reports for ev in rep.events if ev["kind"] == "d1"]
+    d1_total = len(d1_checks)
+    d1_failed = sum(1 for c in d1_checks if not c["passed"])
     ok = not broken and d1_total > 0 and d1_failed == 0
     announce(
         "criterion 7",

@@ -256,13 +256,6 @@ def test_goldstein_price_shifted_local_minimum_value():
     # appendix start; a regression anchor for the scaled formula.
     p = get_problem("goldstein-price")
     assert p.func(np.array([-600, -400])) == pytest.approx(30.0, abs=1e-12)
-    assert p.divisor == 1000.0
-
-
-def test_scaled_problems_declare_divisor():
-    for name in ("goldstein-price", "beale", "powell-singular"):
-        assert get_problem(name).divisor == 1000.0
-    assert get_problem("booth").divisor == 1.0
 
 
 # ---------------------------------------------------------------- dimensioning
@@ -279,38 +272,38 @@ def test_variable_dimension_problems():
 
 # Recorded from the per-problem factories the table replaced:
 # (dimension, lower, upper, known_minimizer, known_value, default_start,
-# divisor, formula name) at each problem's default dimension.
+# formula name) at each problem's default dimension.
 REGISTRY_PIN = {
-    "rosenbrock": (2, (-5, -5), (5, 5), (1, 1), 0.0, (3, 3), 1.0, "rosenbrock_value"),
-    "rastrigin": (2, (-5, -5), (5, 5), (0, 0), 0.0, (-1, -1), 1.0, "rastrigin_value"),
+    "rosenbrock": (2, (-5, -5), (5, 5), (1, 1), 0.0, (3, 3), "rosenbrock_value"),
+    "rastrigin": (2, (-5, -5), (5, 5), (0, 0), 0.0, (-1, -1), "rastrigin_value"),
     "colville": (
-        4, (-10,) * 4, (10,) * 4, (1, 1, 1, 1), 0.0, (0, 0, 0, 0), 1.0, "colville_value"
+        4, (-10,) * 4, (10,) * 4, (1, 1, 1, 1), 0.0, (0, 0, 0, 0), "colville_value"
     ),
     "goldstein-price": (
-        2, (-2000, -2000), (2000, 2000), (0, -1000), 3.0, (1, -1), 1000.0,
+        2, (-2000, -2000), (2000, 2000), (0, -1000), 3.0, (1, -1),
         "goldstein_price_value",
     ),
     "beale": (
-        2, (-10000,) * 2, (10000,) * 2, (3000, 500), 0.0, (0, 0), 1000.0, "beale_value"
+        2, (-10000,) * 2, (10000,) * 2, (3000, 500), 0.0, (0, 0), "beale_value"
     ),
     "powell-singular": (
-        4, (-10000,) * 4, (10000,) * 4, (0, 0, 0, 0), 0.0, (10, -10, 10, -10), 1000.0,
+        4, (-10000,) * 4, (10000,) * 4, (0, 0, 0, 0), 0.0, (10, -10, 10, -10),
         "powell_singular_value",
     ),
-    "booth": (2, (-10, -10), (10, 10), (1, 3), 0.0, (0, 0), 1.0, "booth_value"),
+    "booth": (2, (-10, -10), (10, 10), (1, 3), 0.0, (0, 0), "booth_value"),
     "quadratic-chain": (
-        25, (-5,) * 25, (5,) * 25, (1,) * 25, 0.0, (2,) * 25, 1.0,
+        25, (-5,) * 25, (5,) * 25, (1,) * 25, 0.0, (2,) * 25,
         "quadratic_chain_value",
     ),
     "three-hump-camel": (
-        2, (-5, -5), (5, 5), (0, 0), 0.0, (2, 2), 1.0, "three_hump_camel_value"
+        2, (-5, -5), (5, 5), (0, 0), 0.0, (2, 2), "three_hump_camel_value"
     ),
     "schaffer-n1": (
-        2, (-100, -100), (100, 100), (0, 0), 0.0, (-50, 50), 1.0, "schaffer_n1_value"
+        2, (-100, -100), (100, 100), (0, 0), 0.0, (-50, 50), "schaffer_n1_value"
     ),
-    "leon": (2, (0, 0), (10, 10), (1, 1), 0.0, (10, 10), 1.0, "leon_value"),
+    "leon": (2, (0, 0), (10, 10), (1, 1), 0.0, (10, 10), "leon_value"),
     "salomon": (
-        2, (-100, -100), (100, 100), (0, 0), 0.0, (-100, 100), 1.0, "salomon_value"
+        2, (-100, -100), (100, 100), (0, 0), 0.0, (-100, 100), "salomon_value"
     ),
 }
 
@@ -323,7 +316,6 @@ def _pin(p):
         p.known_minimizer,
         p.known_value,
         p.default_start,
-        p.divisor,
         p.func.__name__,
     )
 
@@ -359,7 +351,6 @@ def test_scalable_problems_pin_every_dimension_up_to_ten(
             (coord,) * n,
             0.0,
             (pattern * 10)[:n],
-            1.0,
             name + "_value",
         )
         assert _pin(get_problem(name, n)) == expected

@@ -1,5 +1,6 @@
 """Tests for the filled-function construction and its safeguards."""
 import collections
+import math
 import struct
 
 import numpy as np
@@ -65,10 +66,13 @@ def test_ramp_finite_where_cube_of_margin_underflows(r):
 
 
 def test_ramp_rejects_bad_margin():
-    with pytest.raises(ParameterError):
-        smoothed_ramp(0.0, 0.0)
-    with pytest.raises(ParameterError):
-        smoothed_ramp(0.0, -1.0)
+    # A NaN or +inf margin once passed the ``r <= 0`` test, and the ramp
+    # returned NaN.
+    for r in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            smoothed_ramp(0.0, r)
+        with pytest.raises(ParameterError):
+            smoothed_ramp(-0.5, r)
 
 
 @pytest.mark.parametrize("r", [1e-4, 0.1, 1.0, 3.0])
@@ -233,8 +237,9 @@ def test_inverse_square_raw_charges_both_counters():
 
 def test_inverse_square_rejects_bad_margin():
     obj = make_objective()
-    with pytest.raises(ParameterError):
-        InverseSquareFilled(obj, np.array([0, 0]), 0.0, 0.0)
+    for r in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            InverseSquareFilled(obj, np.array([0, 0]), 0.0, r)
 
 
 def test_min_excess_tracking():

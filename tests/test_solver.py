@@ -24,28 +24,23 @@ from intfill.core import (
     is_discrete_local_min,
 )
 from intfill.filled import (
+    ANCHOR_FILLED,
     AugmentedFilled,
+    BoundCheck,
     FilledParams,
     InverseSquareFilled,
     lattice_penalty,
+    rounding_error_check,
 )
 from intfill.local_search import MINIMIZERS, CompassSearch
 from intfill.solver import (
+    EVENT_KINDS,
     SolverConfig,
     SolveReport,
     solve,
     solve_problem,
     vertex_check,
 )
-
-EVENT_KINDS = {
-    "start",
-    "anchor",
-    "escape",
-    "outer_result",
-    "finalize_descent",
-}
-
 
 def booth_fn(x):
     return float((x[0] + 2 * x[1] - 7) ** 2 + (2 * x[0] + x[1] - 5) ** 2)
@@ -54,6 +49,18 @@ def booth_fn(x):
 def booth_objective(limit=None):
     box = BoxDomain(np.array([-10, -10]), np.array([10, 10]))
     return ObjectiveFunction(booth_fn, box, EvalCounter(limit=limit))
+
+
+def checks_with_their_anchors(rep, kind):
+    """Each ``kind`` event (``"d1"`` or ``"dc2"``) with the anchor event it
+    checks: the last one before it."""
+    anchor, found = None, []
+    for e in rep.events:
+        if e["kind"] == "anchor":
+            anchor = e
+        elif e["kind"] == kind:
+            found.append((e, anchor))
+    return found
 
 
 # ---------------------------------------------------------------- vertex
@@ -188,7 +195,6 @@ def test_a_cfg_that_is_not_a_solver_config_is_a_parameter_error(cfg):
 # caller can leave out and set. A new one fails here until it is listed.
 SETTABLE_VALUES = [
     "AugmentedFilled(memo)",
-    "BenchmarkProblem.divisor",
     "CompassSearch.expand",
     "CompassSearch.step_tol",
     "EvalCounter.n_fu",
@@ -273,7 +279,7 @@ def test_every_round_starts_from_the_incumbent():
     rep = solve_problem(get_problem("booth"))
     assert rep.columns() == (0.0, 308, 233)
     assert rep.termination == "max_iterations"
-    assert {e["kind"] for e in rep.events} <= EVENT_KINDS
+    assert {e["kind"] for e in rep.events} <= set(EVENT_KINDS)
     later = [e for e in rep.events if e["kind"] == "anchor" and e["outer"] > 1]
     assert {e["outer"] for e in later} == {2, 3}
     assert all(e["point"] == (1, 3) for e in later)
@@ -358,7 +364,8 @@ def test_reported_value_is_at_most_every_value_the_solve_logged():
         start = rng.integers(problem.box.lower, problem.box.upper, endpoint=True)
         cfg = SolverConfig(max_evaluations=budgets[i % len(budgets)])
         rep = solve_problem(problem, x0=start, cfg=cfg)
-        assert rep.f_best <= min(e["value"] for e in rep.events), (i, start)
+        values = [e["value"] for e in rep.events if "value" in e]
+        assert rep.f_best <= min(values), (i, start)
         assert is_discrete_local_min(problem.func, np.array(rep.x_best), problem.box)
         ends.add((rep.termination, rep.events[-1]["kind"] == "finalize_descent"))
     assert ends == {("max_iterations", False), ("budget", False), ("budget", True)}
@@ -375,19 +382,21 @@ def test_double_well_escape_and_dc2_record():
     rep = solve(ObjectiveFunction(double_well, box, EvalCounter()), np.array([-3]))
     assert rep.x_best == (3,)
     assert rep.f_best == -3.0
-    assert len(rep.dc2_checks) >= 1
-    for check in rep.dc2_checks:
+    dc2 = checks_with_their_anchors(rep, "dc2")
+    assert len(dc2) >= 1
+    for check, anchor in dc2:
         assert check["status"] in {"passed", "failed", "skipped_unconverged"}
-        assert check["new_anchor_value"] < check["previous_anchor_value"]
-    assert all(c["status"] == "passed" for c in rep.dc2_checks)
+        assert anchor["value"] < check["previous_anchor_value"]
+    assert all(c["status"] == "passed" for c, _ in dc2)
 
 
 def test_d1_checks_recorded_and_passing():
     rep = solve_problem(get_problem("colville"))
-    assert len(rep.d1_checks) >= 1
-    for check in rep.d1_checks:
+    d1 = [e for e in rep.events if e["kind"] == "d1"]
+    assert len(d1) >= 1
+    assert ANCHOR_FILLED == 2.0
+    for check in d1:
         assert check["passed"]
-        assert check["anchor_filled"] == 2.0
         assert check["max_neighbor_filled"] < 2.0
 
 
@@ -457,7 +466,7 @@ def test_event_stream_shape():
     kinds = [ev["kind"] for ev in rep.events]
     assert kinds[0] == "start"
     assert "anchor" in kinds and "outer_result" in kinds
-    assert set(kinds) <= EVENT_KINDS
+    assert set(kinds) <= set(EVENT_KINDS)
     counters = [(ev["n_fu"], ev["n_fill"]) for ev in rep.events]
     for (a1, b1), (a2, b2) in zip(counters, counters[1:]):
         assert a2 >= a1 and b2 >= b1
@@ -475,14 +484,76 @@ def test_escape_events_say_how_the_walk_ended():
     # evaluations plus the bound check at its endpoint, unless the walk ran
     # over the memo (a first pass, at r_max) and ended at a lattice point,
     # whose value the memo holds.
-    checks = dict(zip(map(id, escapes), rep.bound_checks))
     pairs = [
         (a, b) for a, b in zip(events, events[1:]) if a["kind"] == b["kind"] == "escape"
     ]
     assert pairs
     for a, b in pairs:
-        recalled = b["r"] == FilledParams().r_max and checks[id(b)].offset_sq == 0.0
+        recalled = b["r"] == FilledParams().r_max and b["offset_sq"] == 0.0
         assert b["n_fill"] - a["n_fill"] == b["escape_evaluations"] + (not recalled)
+
+
+def _solves_of_every_kind():
+    """Solves that between them log every kind of event: booth's rounds,
+    the double well's DC2 check, and a polish after a budget cut."""
+    box = BoxDomain(np.array([-5]), np.array([5]))
+    well = lambda cfg=None: solve(
+        ObjectiveFunction(double_well, box, EvalCounter()), np.array([-3]), cfg
+    )
+    full = well()
+    # A budget that ends right after the improving escape, as in
+    # test_budget_cut_between_an_escape_and_its_anchor_reports_the_landing.
+    landing = next(e for e in full.events if e["kind"] == "escape" and e["improved"])
+    budget = landing["n_fu"] + landing["n_fill"] + 1
+    return [
+        solve_problem(get_problem("booth")),
+        solve_problem(get_problem("schaffer-n1"), x0=(8, 2)),
+        full,
+        well(SolverConfig(max_evaluations=budget)),
+    ]
+
+
+def test_every_event_kind_is_logged_by_some_solve():
+    reps = _solves_of_every_kind()
+    assert reps[-1].events[-1]["kind"] == "finalize_descent"
+    assert {e["kind"] for rep in reps for e in rep.events} == set(EVENT_KINDS)
+    assert len(set(EVENT_KINDS)) == len(EVENT_KINDS)
+
+
+def test_each_phase_2_logs_one_d1_check_after_its_anchor():
+    # The D1 check opens phase 2: it follows its anchor and that anchor's
+    # DC2 check, if it owes one, and so precedes every escape from it.
+    reps = _solves_of_every_kind()[:-1]  # the last is cut before its phase 2
+    assert any(e["kind"] == "dc2" for rep in reps for e in rep.events)
+    for rep in reps:
+        kinds = [e["kind"] for e in rep.events]
+        anchors = [i for i, k in enumerate(kinds) if k == "anchor"]
+        assert anchors and kinds.count("d1") == len(anchors)
+        for i in anchors:
+            assert kinds[i + 1] == "d1" or kinds[i + 1 : i + 3] == ["dc2", "d1"]
+        assert all(kinds[i - 1] == "anchor" for i, k in enumerate(kinds) if k == "dc2")
+
+
+@pytest.mark.parametrize("options", [{}, {"filled_minimizer": "quasi-newton"}])
+def test_escape_events_carry_their_rounding_error_check(monkeypatch, options):
+    # Each escape event holds what rounding_error_check gives at the walk's
+    # endpoint and the filled value there, against the anchor's 2.0.
+    endpoints = []
+    check = intfill.solver.rounding_error_check
+
+    def recording(anchor_filled, point_filled, x):
+        endpoints.append(np.array(x, dtype=float))
+        return check(anchor_filled, point_filled, x)
+
+    monkeypatch.setattr(intfill.solver, "rounding_error_check", recording)
+    rep = solve_problem(get_problem("booth"), cfg=SolverConfig(**options))
+    escapes = [e for e in rep.events if e["kind"] == "escape"]
+    assert escapes and len(escapes) == len(endpoints)
+    for e, x in zip(escapes, endpoints):
+        expected = rounding_error_check(ANCHOR_FILLED, e["point_filled"], x)
+        assert (e["bound"], e["offset_sq"], e["bound_limit"]) == (
+            expected.status, expected.offset_sq, expected.limit
+        )
 
 
 def test_outer_results_never_worsen_the_incumbent():
@@ -496,10 +567,11 @@ def test_outer_results_never_worsen_the_incumbent():
 
 def test_bound_checks_logged_with_valid_statuses():
     rep = solve_problem(get_problem("booth"))
-    assert rep.bound_checks
-    for check in rep.bound_checks:
-        assert check.status in {"passed", "failed", "skipped"}
-        assert check.offset_sq >= 0.0
+    escapes = [e for e in rep.events if e["kind"] == "escape"]
+    assert escapes
+    for check in escapes:
+        assert check["bound"] in {"passed", "failed", "skipped"}
+        assert check["offset_sq"] >= 0.0
 
 
 # ---------------------------------------------------------------- determinism
@@ -532,16 +604,53 @@ def _hexed(v):
     return v
 
 
+# The bound check's fields on an escape event, once kept in a list of their own.
+BOUND_FIELDS = ("offset_sq", "bound_limit", "point_filled")
+
+
+def four_lists(rep: SolveReport) -> list:
+    """The report's events as the four lists a report kept before its
+    events were its one record: the other events, the bound checks, the
+    D1 checks and the DC2 checks, each field in its old place."""
+    events, bound_checks, d1_checks, dc2_checks = [], [], [], []
+    anchor = None
+    for e in rep.events:
+        if e["kind"] == "d1":
+            d1_checks.append({
+                "anchor": anchor["point"],
+                "passed": e["passed"],
+                "anchor_filled": ANCHOR_FILLED,
+                "max_neighbor_filled": e["max_neighbor_filled"],
+            })
+        elif e["kind"] == "dc2":
+            dc2_checks.append({
+                "status": e["status"],
+                "previous_anchor_value": e["previous_anchor_value"],
+                "new_anchor_value": anchor["value"],
+            })
+        else:
+            anchor = e if e["kind"] == "anchor" else anchor
+            if e["kind"] == "escape":
+                bound_checks.append(BoundCheck(
+                    e["bound"], e["offset_sq"], e["bound_limit"], ANCHOR_FILLED,
+                    e["point_filled"],
+                ))
+                e = {k: v for k, v in e.items() if k not in BOUND_FIELDS}
+            events.append(e)
+    return [events, bound_checks, d1_checks, dc2_checks]
+
+
 def report_digest(rep: SolveReport, drop: tuple[str, ...] = ()) -> str:
     """Digest of everything a solve reports except its wall time, and
-    except the event fields and report columns named in ``drop``."""
+    except the event fields and report columns named in ``drop``. It
+    hashes the four lists of ``four_lists``, so the digests pinned before
+    the D1, DC2 and bound checks joined the events still hold."""
     summary = {"x_best": rep.x_best, "f_best": rep.f_best, "n_fu": rep.n_fu,
                "n_fill": rep.n_fill, "termination": rep.termination}
+    events, *checks = four_lists(rep)
     body = [
-        [{k: v for k, v in e.items() if k not in drop} for e in rep.events],
-        rep.bound_checks,
-        rep.d1_checks,
-        rep.dc2_checks,
+        [{k: v for k, v in e.items() if k not in drop} for e in events],
+        *checks,
         [v for k, v in summary.items() if k not in drop],
     ]
     return hashlib.sha256(json.dumps(_hexed(body)).encode()).hexdigest()[:16]
@@ -750,9 +859,9 @@ def test_solve_on_a_single_point_box():
     assert rep.x_best == (3, 3) and rep.f_best == 18.0
     assert rep.n_fill == 0
     # No neighbor: the D1 check passes vacuously in every round.
-    d1 = {"anchor": (3, 3), "passed": True, "anchor_filled": 2.0,
-          "max_neighbor_filled": -np.inf}
-    assert rep.d1_checks == [d1] * 3
+    d1 = [(a["point"], c["passed"], c["max_neighbor_filled"])
+          for c, a in checks_with_their_anchors(rep, "d1")]
+    assert d1 == [((3, 3), True, -np.inf)] * 3
 
 
 @pytest.mark.parametrize("minimizer", ["quasi-newton", "compass"])
@@ -1073,10 +1182,15 @@ def test_recalled_condition_checks_charge_nothing_and_change_no_record(monkeypat
     off, charged_off = _solve_recording_charges(monkeypatch)
     for kind, charges in charged_off.items():
         assert len(charges) == len(charged[kind]) and set(charges) == {(1, 1)}, kind
-    for name in ("d1_checks", "dc2_checks", "bound_checks"):
-        assert json.dumps(_hexed(getattr(rep, name))) == json.dumps(
-            _hexed(getattr(off, name))
-        )
+
+    def checks(r):
+        return [
+            {k: v for k, v in e.items() if k not in COUNTERS}
+            for e in r.events
+            if e["kind"] in ("d1", "dc2", "escape")
+        ]
+
+    assert json.dumps(_hexed(checks(rep))) == json.dumps(_hexed(checks(off)))
 
 
 def test_an_evaluation_cut_by_the_budget_is_not_remembered():
