@@ -254,9 +254,9 @@ def _escape(
     # recall was ever measured at a retry margin, so a retry gets none.
     memo = rec.filled_memo(x_star, f_star)
     d1 = AugmentedFilled(InverseSquareFilled(obj, x_star, f_star, params.r_max), memo)
-    worst = -np.inf
-    for nb in neighbors:
-        worst = max(worst, _filled_at(d1, nb))
+    values = [_filled_at(d1, nb) for nb in neighbors]
+    # max() drops a NaN value, and a NaN neighbor must fail the check.
+    worst = math.nan if any(map(math.isnan, values)) else max(values, default=-np.inf)
     rec.log(
         obj.counter, "d1", passed=bool(worst < ANCHOR_FILLED), max_neighbor_filled=worst
     )

@@ -22,6 +22,7 @@ from intfill.benchmarks import (
 from intfill.cli import main
 from intfill.core import BoxDomain, DomainError, ParameterError
 from intfill.solver import SolverConfig, solve_problem
+from test_solver import report_digest
 
 CANONICAL_NAMES = [
     "rosenbrock",
@@ -95,6 +96,45 @@ def test_summed_formulas_match_np_sum_bit_for_bit(name):
             assert func(x).hex() == reference(x).hex(), (n, x)
             z = rng.integers(-10, 11, size=n)
             assert func(z).hex() == reference(z.astype(float)).hex(), (n, z)
+
+
+def test_add_reduce_matches_np_add_reduce_bit_for_bit():
+    # Every length up to 300 crosses each branch of numpy's pairwise sum:
+    # the plain loop below 8 terms, one block of up to 128 (7, 8, 9 and
+    # 127-129 at its edges) and the halving above it (255-257 among them).
+    rng = np.random.default_rng(23)
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+    for n in range(301):
+        for trial in range(20):
+            x = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+            if trial % 4 == 1:
+                x = rng.choice(specials, size=n)
+            elif trial % 4 == 2:
+                where = rng.random(n) < 0.2
+                x[where] = rng.choice(specials, size=where.sum())
+            elif trial % 4 == 3:
+                x = -np.zeros(n)
+            with np.errstate(invalid="ignore", over="ignore"):
+                expected = float(np.add.reduce(x))
+            assert benchmarks._add_reduce(x.tolist()).hex() == expected.hex(), (n, x)
+
+
+@pytest.mark.parametrize("name", ["rosenbrock", "rastrigin"])
+@pytest.mark.parametrize("n", [2, 10, 12, 13])
+def test_whole_solves_are_the_same_under_the_array_form_of_a_summed_formula(
+    name, n, monkeypatch
+):
+    # Each n on either side of the cutoff where the formula leaves Python
+    # floats for arrays. A solve visits lattice points, finite-difference
+    # probes and off-lattice polls, and its digest hashes every value.
+    problem = get_problem(name, n)
+    expected = report_digest(solve_problem(problem))
+    attr = f"{name}_value"
+    reference = SUM_FORMULAS[attr]
+    monkeypatch.setattr(
+        benchmarks, attr, lambda x: reference(np.asarray(x, dtype=float))
+    )
+    assert report_digest(solve_problem(get_problem(name, n))) == expected
 
 
 # The numpy-scalar form of each formula that computes on Python floats. The
@@ -206,17 +246,19 @@ def test_float_formulas_match_their_numpy_scalar_form_bit_for_bit(name):
 INT64_EDGES = (-(2**63), -1, 0, 1, 2**63 - 1)
 
 
-@pytest.mark.parametrize("name", sorted(SCALAR_FORMULAS))
+@pytest.mark.parametrize("name", sorted(SCALAR_FORMULAS) + ["rastrigin", "rosenbrock"])
 def test_float_formulas_are_finite_over_the_int64_range(name):
     # Every int64 lattice point, and every real point in an int64 box, lies
     # between these corners, where each formula's terms peak in size: no
-    # value within that range overflows.
+    # value within that range overflows. rosenbrock and rastrigin run on
+    # Python floats at their default n = 2.
     p = get_problem(name)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for corner in itertools.product(INT64_EDGES, repeat=p.dimension):
             for dtype in (np.int64, np.float64):
-                assert math.isfinite(p.func(np.array(corner, dtype=dtype))), corner
+                got = p.func(np.array(corner, dtype=dtype))
+                assert type(got) is float and math.isfinite(got), corner
 
 
 def test_a_formula_beyond_the_float_range_raises_overflow_error():

@@ -341,6 +341,18 @@ def test_an_escape_from_a_nan_anchor_improves():
     assert rep.x_best == (0, 0) and rep.n_fu == 437
 
 
+def test_a_nan_neighbor_filled_value_fails_the_d1_check():
+    # Every filled value at the NaN anchor (4, 4) is NaN. max() drops a NaN
+    # against -inf, but an anchor with four NaN neighbors passes nothing:
+    # its check records the NaN and fails.
+    box = BoxDomain(np.array([-5, -5]), np.array([5, 5]))
+    rep = solve(ObjectiveFunction(_nan_at_4_4, box, EvalCounter()), np.array([4, 4]))
+    (first, anchor), *rest = checks_with_their_anchors(rep, "d1")
+    assert anchor["point"] == (4, 4) and first["n_fill"] == 4
+    assert first["passed"] is False and np.isnan(first["max_neighbor_filled"])
+    assert rest and all(c["passed"] and c["max_neighbor_filled"] < 2.0 for c, _ in rest)
+
+
 def test_start_at_the_minimum_reports_its_anchor_without_a_polish():
     # Every anchor ties f(start) = 0. The best anchor is reported as it
     # is: no point the solve saw beats it, so nothing is polished.
