@@ -14,8 +14,7 @@ scaled problems the classic minimizer ``(x, y)`` appears here as
 The formulas compute on Python floats where that is cheaper and keeps
 every bit of the numpy form: the point is converted once with
 ``.tolist()``. rosenbrock and rastrigin sum their terms with
-``_add_reduce``, numpy's pairwise summation repeated on floats, up to
-``_FLOAT_MAX_N`` coordinates, and on arrays above that.
+``_add_reduce``, numpy's pairwise summation repeated on floats.
 """
 from __future__ import annotations
 
@@ -61,11 +60,6 @@ def expand_start_pattern(pattern: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(itertools.islice(itertools.cycle(coords), n))
 
 
-# Above this many coordinates a summed formula stays on arrays: its Python
-# loop grows with n while the array form's cost stays nearly flat.
-_FLOAT_MAX_N = 12
-
-
 def _add_reduce(terms: list[float]) -> float:
     """``np.add.reduce`` of a list of Python floats, bit for bit, by numpy's
     pairwise summation: a plain loop below 8 terms, eight accumulators over
@@ -102,10 +96,7 @@ def _add_reduce(terms: list[float]) -> float:
 
 
 def rosenbrock_value(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.size > _FLOAT_MAX_N:
-        return float(np.add.reduce(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
-    v = x.tolist()
+    v = np.asarray(x, dtype=float).tolist()
     terms = []
     for a, b in zip(v, v[1:]):
         t, u = b - a * a, 1.0 - a  # d * d is numpy's square; float ** is C pow
@@ -116,8 +107,6 @@ def rosenbrock_value(x: np.ndarray) -> float:
 def rastrigin_value(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     cos = np.cos(2.0 * np.pi * x)  # math.cos can differ in the last bit
-    if x.size > _FLOAT_MAX_N:
-        return float(10.0 * x.size + np.add.reduce(x * x - 10.0 * cos))
     terms = [a * a - 10.0 * c for a, c in zip(x.tolist(), cos.tolist())]
     return 10.0 * x.size + _add_reduce(terms)
 
