@@ -116,9 +116,11 @@ class BoxDomain:
         return int(self.lower.shape[0])
 
     def contains(self, x: np.ndarray) -> bool:
-        """Exact lattice membership; any non-integral entry (NaN, +-inf) gives False."""
+        """Exact lattice membership; any non-integral entry (NaN, +-inf) gives
+        False, and so does an array that is not bool, numeric or object, such
+        as a complex or str one."""
         arr = np.asarray(x)
-        if arr.shape != self.lower.shape:
+        if arr.shape != self.lower.shape or arr.dtype.kind not in "biufO":
             return False
         xs = arr.tolist()
         lo, hi = self.lower, self.upper

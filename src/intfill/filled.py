@@ -20,10 +20,11 @@ For searches run in the continuous relaxation, ``AugmentedFilled`` adds
 ``|F(x)| * sum_i sin^2(pi x_i)``, a penalty that vanishes exactly on
 the lattice and pushes minimizers toward integer coordinates; at a
 lattice point it is not computed at all. Given a memo, ``AugmentedFilled``
-remembers the values it computes, and a compass walk over the same memo
-and the solver's D1, DC2 and bound checks reuse them without evaluating
-the point again. The escape pass hands its
-memo to the D1 check and to each candidate's first pass, none to a retry.
+remembers the values it computes, at most 8,192 of them, the least
+recently used dropped first, and a compass walk over the same memo and the
+solver's D1, DC2 and bound checks reuse them without evaluating the point
+again. The escape pass hands its memo to the D1 check and to each
+candidate's first pass, none to a retry.
 """
 from __future__ import annotations
 
@@ -39,10 +40,10 @@ from .core import as_real_point, check_numbers
 
 _TINY = float(np.finfo(float).tiny)
 ANCHOR_FILLED = 2.0  # the filled value at the anchor: envelope 2, gate 1
-# Entries a memo keeps, the oldest dropped first. A solve keeps two memos
-# under this bound, of filled values and of lattice objective values, so it
-# bounds the memory that remembered values take.
-_MEMO_SIZE = 4096
+# Entries a memo keeps, the least recently used dropped first. A solve keeps
+# two memos under this bound, of filled values and of lattice objective
+# values, so it bounds the memory that remembered values take.
+_MEMO_SIZE = 8192
 
 
 def smoothed_ramp(t: float, r: float) -> float:
@@ -203,10 +204,12 @@ class AugmentedFilled:
     penalty: ``raw + abs(raw) * 0.0 == raw`` for every value ``raw`` can
     take (finite or NaN), so skipping it changes no bit. Given a ``memo``,
     it stores each value with its excess ``f(x) - f(anchor)`` under the
-    point's ``float64`` bytes, keeping the newest ``_MEMO_SIZE``, and
-    ``recall`` reads them back. Only filled functions of one anchor, anchor
-    value and margin may share a memo, and only if the objective gives the
-    same value at the same point every time.
+    point's ``float64`` bytes, and ``recall`` reads them back. A recall
+    moves its entry to the newest end, and past ``_MEMO_SIZE`` entries the
+    oldest end is dropped, so the least recently used goes first. Only
+    filled functions of one anchor, anchor value and margin may share a
+    memo, and only if the objective gives the same value at the same point
+    every time.
     """
 
     def __init__(
@@ -231,8 +234,9 @@ class AugmentedFilled:
         """The value remembered at the ``float64`` point whose bytes are
         ``key``, or None. A hit charges nothing, and its excess counts
         toward ``min_excess`` as a new evaluation's would."""
-        if self.memo is None or (hit := self.memo.get(key)) is None:
+        if (memo := self.memo) is None or (hit := memo.get(key)) is None:
             return None
+        memo.move_to_end(key)
         value, excess = hit
         base = self.base
         if excess < base.min_excess:

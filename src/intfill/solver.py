@@ -37,10 +37,10 @@ ordering, neighborhood argmins, and the objective evaluation embedded
 in each filled value) charges ``n_fu``, and every filled evaluation
 (including the per-escape bound check and the D1/DC2 condition checks)
 charges ``n_fill``, so ``n_fu - n_fill`` counts the objective
-evaluations made outside filled values. The
-run record owns two memos, each of at most ``filled._MEMO_SIZE`` values,
-the oldest dropped first. One holds the objective at the lattice points
-the solve evaluated, and serves ``f(start)``, phase 1's lattice descent,
+evaluations made outside filled values. The run record owns two memos,
+each of at most ``filled._MEMO_SIZE`` = 8,192 values, the least recently
+used dropped first. One holds the objective at the lattice points the
+solve evaluated, and serves ``f(start)``, phase 1's lattice descent,
 candidate ordering, the landing's neighborhood argmin and the final
 polish. The other holds filled values for the last anchor escaped from
 and its value. The escape pass hands it to the D1 check and to each
@@ -202,6 +202,8 @@ class _RunRecord:
             v = values[key] = self.obj(x)
             if len(values) > _filled._MEMO_SIZE:
                 values.popitem(last=False)
+        else:
+            values.move_to_end(key)
         return v
 
     def filled_memo(self, anchor: IntPoint, value: float) -> collections.OrderedDict:

@@ -266,6 +266,20 @@ def test_box_contains_object_arrays_need_integral_entries():
     assert obj.counter.n_fu == 0
 
 
+def test_box_contains_is_false_for_complex_str_and_time_points():
+    # Such a point is not a lattice point, so the objective refuses it with
+    # a DomainError rather than the TypeError of comparing it to a bound.
+    box = BoxDomain(np.array([0, 0]), np.array([3, 3]))
+    obj = ObjectiveFunction(lambda x: float(x @ x), box, EvalCounter())
+    for bad in (np.array([1, 2], dtype=complex), np.array(["1", "2"]),
+                np.array([b"1", b"2"]), np.array([1, 2], dtype="m8[s]"),
+                np.array(["2000-01-01", "2000-01-02"], dtype="M8[D]")):
+        assert box.contains(bad) is False, bad.dtype
+        with pytest.raises(DomainError):
+            obj(bad)
+    assert obj.counter.n_fu == 0
+
+
 def test_box_clamp_preserves_dtype():
     box = box2()
     out_i = box.clamp(np.array([7, -9]))

@@ -375,6 +375,22 @@ def test_the_memo_keeps_its_newest_entries_up_to_its_bound(monkeypatch):
     ]
 
 
+def test_a_full_memo_drops_its_least_recently_used_value(monkeypatch):
+    # A recall makes its value the newest, so the next store drops the
+    # value neither stored nor recalled since.
+    monkeypatch.setattr(intfill.filled, "_MEMO_SIZE", 2)
+    obj = make_objective()
+    memo = collections.OrderedDict()
+    wrapped = AugmentedFilled(InverseSquareFilled(obj, np.array([0, 0]), 0.0, 1.0), memo)
+    a, b, c = (np.array([float(k), 0.5]) for k in range(3))
+    value = wrapped(a)
+    wrapped(b)
+    assert wrapped.recall(a.tobytes()) == value
+    wrapped(c)
+    assert list(memo) == [a.tobytes(), c.tobytes()]
+    assert wrapped.recall(b.tobytes()) is None
+
+
 @pytest.mark.parametrize("limit", [0, 1])
 def test_an_evaluation_cut_by_the_budget_stores_nothing(limit):
     # limit 0 stops the filled charge, limit 1 the embedded objective's.

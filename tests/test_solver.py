@@ -692,6 +692,27 @@ def test_solve_output_with_the_filled_memo_is_pinned_bit_for_bit(
     assert report_digest(rep) == digest
 
 
+def test_a_solve_whose_filled_memo_drops_values_is_pinned_bit_for_bit(monkeypatch):
+    # The solves above never fill a memo, so they cannot see which value a
+    # full memo drops. rosenbrock at n = 10 stores more filled values than
+    # the memo keeps, so its counters pin the eviction order: a change
+    # that drops other values recalls fewer and charges more.
+    stores = collections.Counter()
+    call = AugmentedFilled.__call__
+
+    def recording(fn, x):
+        value = call(fn, x)
+        if fn.memo is not None:
+            stores[id(fn.memo)] += 1
+        return value
+
+    monkeypatch.setattr(AugmentedFilled, "__call__", recording)
+    rep = solve_problem(get_problem("rosenbrock", 10))
+    assert max(stores.values()) > intfill.filled._MEMO_SIZE
+    assert (rep.n_fu, rep.n_fill) == (19_406, 17_204)
+    assert report_digest(rep) == "1c923c5880fdcec7"
+
+
 @pytest.mark.parametrize("name,start,options,digest", [
     ("booth", (0, 0), {}, "25e713dc05ac2eba"),
     ("leon", (10, 10), {}, "4ec3f2984355df33"),
@@ -718,6 +739,7 @@ COUNTERS = ("n_fu", "n_fill", "escape_evaluations")
     ("booth", None, (0, 0), {"filled_minimizer": "quasi-newton"}, "59c20a8f9a61883c"),
     ("rosenbrock", 10, None, {}, "afcec4c8c0853fd0"),
     ("schaffer-n1", None, (51, 91), {}, "04267b62432690fe"),
+    ("beale", None, None, {}, "f84cd179cb9677e3"),  # a wide box, from its paper start
 ])
 def test_solve_trajectory_is_pinned_without_its_counters(
     name, n, start, options, digest
@@ -1219,9 +1241,16 @@ def test_an_evaluation_cut_by_the_budget_is_not_remembered():
 
 
 def test_the_lattice_memo_keeps_its_bound(monkeypatch):
+    # A full memo drops its least recently used value: the hit on [0, 1]
+    # keeps it over [0, 2], so [0, 3] evicts [0, 2], and [0, 1] is still
+    # recalled without a charge.
     monkeypatch.setattr(intfill.filled, "_MEMO_SIZE", 2)
     rec = intfill.solver._RunRecord(booth_objective())
     for x in ([0, 0], [0, 1], [0, 2], [0, 1]):
         rec.value(np.array(x))
-    assert list(rec.values) == [np.array(x).tobytes() for x in ([0, 1], [0, 2])]
+    assert list(rec.values) == [np.array(x).tobytes() for x in ([0, 2], [0, 1])]
     assert rec.obj.counter.n_fu == 3
+    for x in ([0, 3], [0, 1]):
+        rec.value(np.array(x))
+    assert list(rec.values) == [np.array(x).tobytes() for x in ([0, 3], [0, 1])]
+    assert rec.obj.counter.n_fu == 4
