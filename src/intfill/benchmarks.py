@@ -14,7 +14,7 @@ scaled problems the classic minimizer ``(x, y)`` appears here as
 The formulas compute on Python floats where that is cheaper and keeps
 every bit of the numpy form: the point is converted once with
 ``.tolist()``. rosenbrock and rastrigin sum their terms with
-``_add_reduce``, numpy's pairwise summation repeated on floats.
+``math.fsum``, which rounds the exact sum once.
 """
 from __future__ import annotations
 
@@ -60,55 +60,20 @@ def expand_start_pattern(pattern: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(itertools.islice(itertools.cycle(coords), n))
 
 
-def _add_reduce(terms: list[float]) -> float:
-    """``np.add.reduce`` of a list of Python floats, bit for bit, by numpy's
-    pairwise summation: a plain loop below 8 terms, eight accumulators over
-    a block of at most 128, and halves split at a multiple of 8 above that.
-    numpy adds the sum to the identity ``0.0``, so a sum of ``-0.0`` terms
-    is ``+0.0``. The builtin ``sum`` adds left to right (and from Python
-    3.12 compensates its rounding), so its last bit differs."""
-    n = len(terms)
-    if n < 8:
-        total = 0.0
-        for t in terms:
-            total += t
-        return total
-    if n <= 128:
-        r0, r1, r2, r3, r4, r5, r6, r7 = terms[:8]
-        blocks = n - n % 8
-        for i in range(8, blocks, 8):
-            r0 += terms[i]
-            r1 += terms[i + 1]
-            r2 += terms[i + 2]
-            r3 += terms[i + 3]
-            r4 += terms[i + 4]
-            r5 += terms[i + 5]
-            r6 += terms[i + 6]
-            r7 += terms[i + 7]
-        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for t in terms[blocks:]:
-            total += t
-        return 0.0 + total
-    # Neither half returns -0.0, so neither does their sum.
-    half = n // 2
-    half -= half % 8
-    return _add_reduce(terms[:half]) + _add_reduce(terms[half:])
-
-
 def rosenbrock_value(x: np.ndarray) -> float:
     v = np.asarray(x, dtype=float).tolist()
     terms = []
     for a, b in zip(v, v[1:]):
         t, u = b - a * a, 1.0 - a  # d * d is numpy's square; float ** is C pow
         terms.append(100.0 * (t * t) + u * u)
-    return _add_reduce(terms)
+    return math.fsum(terms)
 
 
 def rastrigin_value(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     cos = np.cos(2.0 * np.pi * x)  # math.cos can differ in the last bit
     terms = [a * a - 10.0 * c for a, c in zip(x.tolist(), cos.tolist())]
-    return 10.0 * x.size + _add_reduce(terms)
+    return 10.0 * x.size + math.fsum(terms)
 
 
 def colville_value(x: np.ndarray) -> float:

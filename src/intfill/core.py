@@ -118,7 +118,7 @@ class BoxDomain:
     def contains(self, x: np.ndarray) -> bool:
         """Exact lattice membership; any non-integral entry (NaN, +-inf) gives
         False, and so does an array that is not bool, numeric or object, such
-        as a complex or str one."""
+        as a complex or str one, or an object entry that is not a real number."""
         arr = np.asarray(x)
         if arr.shape != self.lower.shape or arr.dtype.kind not in "biufO":
             return False
@@ -130,7 +130,8 @@ class BoxDomain:
             lo, hi = lo.astype(float), hi.astype(float)  # as numpy compares them
         elif arr.dtype.kind == "O":
             with np.errstate(invalid="ignore"):  # a numpy scalar's inf // 1 warns
-                if not all(v == v // 1 for v in xs):  # NaN for NaN and +-inf
+                if not all(isinstance(v, numbers.Real) and v == v // 1  # NaN for NaN, +-inf
+                           for v in xs):
                     return False
         return all(a <= v <= b for a, v, b in zip(lo.tolist(), xs, hi.tolist()))
 

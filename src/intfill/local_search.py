@@ -172,7 +172,8 @@ class QuasiNewton:
     ``_GRAD_TOL`` in every coordinate, or an accepted step between finite
     values lowers f by at most ``_FTOL * max(|f_old|, |f_new|, 1)``
     (relative reduction, L-BFGS-B's ``factr = 1e7`` test).
-    It ends ``"non_finite"`` at a gradient that is not finite,
+    It ends ``"non_finite"`` at a gradient that is not finite, or whose
+    slope ``g . d`` along the search direction is not,
     ``"line_search_failure"`` after ``_MAX_LINE_FAILURES`` consecutive
     failed line searches, and ``"budget"`` after ``_MAX_ITERATIONS``.
     """
@@ -238,11 +239,19 @@ class QuasiNewton:
             if max(map(abs, gs), default=0.0) <= _GRAD_TOL:
                 termination = "converged"
                 break
-            d = (-hess_inv).dot(g)
-            if float(g.dot(d)) >= 0.0:
-                hess_inv = ident.copy()
-                scaled = False
-                d = -g
+            with np.errstate(over="ignore", invalid="ignore"):  # fn is not called here
+                d = (-hess_inv).dot(g)
+                gd = float(g.dot(d))
+                if gd >= 0.0:
+                    hess_inv = ident.copy()
+                    scaled = False
+                    d = -g
+                    gd = float(g.dot(d))
+            if not math.isfinite(gd):
+                # g is finite but its slope along d overflowed, and a line
+                # search would compare values against inf or NaN.
+                termination = "non_finite"
+                break
             t = 1.0
             line_failures += 1  # until a step is accepted
             xs, ds = x.tolist(), d.tolist()

@@ -69,13 +69,15 @@ def test_lattice_and_real_evaluations_agree_bitwise(name):
         assert p.func(x) == p.func(x.astype(float))
 
 
-# The sums as written with np.sum, which the formulas call as np.add.reduce.
+# Each summed formula as written on numpy's term array. rosenbrock and
+# rastrigin sum their terms with math.fsum, and quadratic-chain with
+# np.add.reduce, which np.sum calls.
 SUM_FORMULAS = {
-    "rosenbrock_value": lambda x: float(
-        np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
+    "rosenbrock_value": lambda x: math.fsum(
+        100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2
     ),
     "rastrigin_value": lambda x: float(
-        10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x))
+        10.0 * x.size + math.fsum(x * x - 10.0 * np.cos(2.0 * np.pi * x))
     ),
     "quadratic_chain_value": lambda x: float(
         (x[0] - 1.0) ** 2
@@ -87,36 +89,16 @@ SUM_FORMULAS = {
 
 @pytest.mark.parametrize("name", sorted(SUM_FORMULAS))
 def test_summed_formulas_match_np_sum_bit_for_bit(name):
-    # n > 8 reaches numpy's pairwise-summation blocks.
+    # Each term on Python floats equals numpy's term bit for bit, so the
+    # sums agree at every length.
     func, reference = getattr(benchmarks, name), SUM_FORMULAS[name]
     rng = np.random.default_rng(11)
-    for n in range(2, 31):
+    for n in itertools.chain(range(2, 31), (127, 128, 129, 255, 256, 257, 300)):
         for _ in range(40):
             x = rng.normal(scale=rng.choice([1e-3, 1.0, 7.0, 1e4]), size=n)
             assert func(x).hex() == reference(x).hex(), (n, x)
             z = rng.integers(-10, 11, size=n)
             assert func(z).hex() == reference(z.astype(float)).hex(), (n, z)
-
-
-def test_add_reduce_matches_np_add_reduce_bit_for_bit():
-    # Every length up to 300 crosses each branch of numpy's pairwise sum:
-    # the plain loop below 8 terms, one block of up to 128 (7, 8, 9 and
-    # 127-129 at its edges) and the halving above it (255-257 among them).
-    rng = np.random.default_rng(23)
-    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
-    for n in range(301):
-        for trial in range(20):
-            x = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
-            if trial % 4 == 1:
-                x = rng.choice(specials, size=n)
-            elif trial % 4 == 2:
-                where = rng.random(n) < 0.2
-                x[where] = rng.choice(specials, size=where.sum())
-            elif trial % 4 == 3:
-                x = -np.zeros(n)
-            with np.errstate(invalid="ignore", over="ignore"):
-                expected = float(np.add.reduce(x))
-            assert benchmarks._add_reduce(x.tolist()).hex() == expected.hex(), (n, x)
 
 
 @pytest.mark.parametrize("name", ["rosenbrock", "rastrigin"])
@@ -260,11 +242,38 @@ def test_float_formulas_are_finite_over_the_int64_range(name):
                 assert type(got) is float and math.isfinite(got), corner
 
 
+@pytest.mark.parametrize("name", ["rosenbrock", "rastrigin"])
+@pytest.mark.parametrize("n", [2, 10, 300])
+def test_fsum_formulas_return_a_float_at_the_int64_corners(name, n):
+    # math.fsum raises OverflowError where finite terms overflow their sum,
+    # and ValueError on inf + -inf, where np.sum returned inf or nan. In an
+    # int64 box neither happens: each term peaks at a corner, below 1e78,
+    # and no term is -inf. Every corner is checked up to n = 10; at n = 300
+    # the constant and alternating corners and 200 drawn at random.
+    p, ends = get_problem(name, n), (-(2**63), 2**63 - 1)
+    if n <= 10:
+        corners = list(itertools.product(ends, repeat=n))
+    else:
+        rng = np.random.default_rng(5)
+        corners = [np.resize(c, n) for c in (ends[:1], ends[1:], ends, ends[::-1])]
+        corners += [rng.choice(ends, size=n) for _ in range(200)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for corner in corners:
+            for dtype in (np.int64, np.float64):
+                got = p.func(np.array(corner, dtype=dtype))
+                assert type(got) is float and math.isfinite(got), corner
+
+
 def test_a_formula_beyond_the_float_range_raises_overflow_error():
     # Python float ** raises where numpy's scalar ** returned inf with a
     # RuntimeWarning; no point of an int64 box gets this far.
     with pytest.raises(OverflowError):
         benchmarks.booth_value([1e200, 0.0])
+    # math.fsum raises where finite terms, here near 1e308 each, overflow
+    # their sum.
+    with pytest.raises(OverflowError):
+        benchmarks.rosenbrock_value([3.2e76, 0.0, 3.2e76, 0.0])
 
 
 # Frozen point values, each computed by hand from the formula.

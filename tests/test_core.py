@@ -261,8 +261,12 @@ def test_box_contains_object_arrays_need_integral_entries():
                 *([v, 1] for v in numpy_inf)):
         assert not box.contains(np.array(bad, dtype=object)), bad
     obj = ObjectiveFunction(lambda x: float(x @ x), box, EvalCounter())
-    with pytest.raises(DomainError):
-        obj(np.array([1.5, 1], dtype=object))
+    for bad in ([1.5, 1], [1 + 0j, 2], [1, "2"], [None, 1]):
+        # A complex, str or None entry is no lattice coordinate: False, and
+        # a DomainError from the objective, not a TypeError from v // 1.
+        assert box.contains(np.array(bad, dtype=object)) is False, bad
+        with pytest.raises(DomainError):
+            obj(np.array(bad, dtype=object))
     assert obj.counter.n_fu == 0
 
 

@@ -413,6 +413,28 @@ def test_quasi_newton_stops_on_non_finite_gradient():
     assert tuple(x) == (0.0, 0.0) and trace.final_value == 0.0
 
 
+def test_quasi_newton_stops_when_the_slope_along_its_direction_overflows():
+    # f = 1e300 x: the gradient is finite, but g . d = -1e600 is not. Under
+    # the warning filter the descent raised RuntimeWarning from that product.
+    box = BoxDomain(np.array([0]), np.array([4]))
+    x, trace = QuasiNewton().minimize(lambda x: 1e300 * float(x[0]), np.array([2.0]), box)
+    assert trace.termination == "non_finite"
+    assert tuple(x) == (2.0,) and trace.n_evaluations == 3
+
+
+def test_quasi_newton_leaves_an_objectives_own_warnings_to_surface():
+    # The descent silences overflow in its own products only: an objective
+    # that overflows at a gradient probe still warns.
+    def fn(x):
+        if x[0] < 2.0:
+            return float(np.float64(1e300) * np.float64(1e300))
+        return 1e300 * float(x[0])
+
+    box = BoxDomain(np.array([0]), np.array([4]))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        QuasiNewton().minimize(fn, np.array([2.0]), box)
+
+
 def test_quasi_newton_stops_when_steps_stop_lowering_f():
     # schaffer-n1's relaxation never gives a small gradient: from (8, 2)
     # the descent used to creep on for 7,144 evaluations until its line

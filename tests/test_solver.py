@@ -304,6 +304,36 @@ def test_non_finite_neighborhood_raises_domain_error(func, start):
     assert counter.limit == 10**9
 
 
+def test_a_solve_whose_descent_slope_overflows_reports_the_minimizer():
+    # f = 1e300 x: the gradient is finite, but its slope g . d overflows.
+    # Each descent ends "non_finite" there, as at a non-finite gradient,
+    # instead of raising RuntimeWarning under the warning filter.
+    box = BoxDomain(np.array([0]), np.array([4]))
+    rep = solve(
+        ObjectiveFunction(lambda x: 1e300 * float(x[0]), box, EvalCounter()), np.array([2])
+    )
+    assert rep.x_best == (0,) and rep.f_best == 0.0
+
+
+def test_an_objective_that_raises_propagates_out_of_the_solve_unchanged():
+    # The solve neither wraps nor swallows an objective's own error, and
+    # restores the caller's counter limit on the way out.
+    calls = []
+
+    def func(x):
+        calls.append(tuple(x))
+        if len(calls) == 3:
+            raise KeyError("third call")
+        return float(x @ x)
+
+    box = BoxDomain(np.array([-5, -5]), np.array([5, 5]))
+    counter = EvalCounter(limit=10**9)
+    with pytest.raises(KeyError, match="third call") as caught:
+        solve(ObjectiveFunction(func, box, counter), np.array([3, 3]))
+    assert type(caught.value) is KeyError and len(calls) == 3
+    assert counter.limit == 10**9
+
+
 def _nan_at_4_4(x):
     return float("nan") if tuple(x) == (4, 4) else float(x @ x)
 
@@ -709,6 +739,16 @@ def test_a_solve_whose_filled_memo_drops_values_is_pinned_bit_for_bit(monkeypatc
     monkeypatch.setattr(AugmentedFilled, "__call__", recording)
     rep = solve_problem(get_problem("rosenbrock", 10))
     assert max(stores.values()) > intfill.filled._MEMO_SIZE
+    assert (rep.n_fu, rep.n_fill) == (19_383, 17_204)
+    assert report_digest(rep) == "c301d7035f79bb32"
+    # Summed with np.sum, as it was before math.fsum, the formula replays the
+    # digest of that solve: only the last bit of a sum moved, not the memo.
+    def np_sum_rosenbrock(x):
+        x = np.asarray(x, dtype=float)
+        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+    monkeypatch.setattr(intfill.benchmarks, "rosenbrock_value", np_sum_rosenbrock)
+    rep = solve_problem(get_problem("rosenbrock", 10))
     assert (rep.n_fu, rep.n_fill) == (19_406, 17_204)
     assert report_digest(rep) == "1c923c5880fdcec7"
 
