@@ -13,6 +13,7 @@ neighborhood with a fixed scan order for ties.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 from typing import Callable
@@ -27,6 +28,7 @@ from .core import (
     check_numbers,
     neighborhood,
 )
+from .filled import _MEMO_SIZE
 
 Objective = Callable[[np.ndarray], float]
 
@@ -83,14 +85,21 @@ class CompassSearch:
     round multiplies the step by ``expand``, capped at the widest extent
     of the box; the default 1 keeps the step fixed, and an integer factor
     keeps every poll of a lattice start on the lattice until the first
-    shrink. The iterate, each point passed to ``fn`` and the returned
-    point are ``float64``. A poll at a point the call already evaluated,
-    such as one that projects back onto the current point at a face of
-    the box, is skipped: each distinct point reaches ``fn`` at most once.
-    If ``fn`` has a ``recall`` method, as the solver's filled functions
-    do, the start and each poll first ask ``fn.recall(x.tobytes())``
-    for a value ``fn`` already computed. A value it returns is used
-    without calling ``fn`` and is not counted in ``n_evaluations``.
+    shrink. A walk whose ``step_tol`` exceeds ``_SHRINK`` would end at
+    the first shrink of a unit step anyway: it is a walk on the lattice,
+    and it ends ``"converged"`` at any shrink to a step that is not a
+    whole number, so from a lattice start with an integer ``expand`` it
+    polls lattice points only. The iterate, each point passed to ``fn``
+    and the returned point are ``float64``. A poll at a point the call
+    already evaluated, such as one that projects back onto the current
+    point at a face of the box, is skipped while the call remembers it:
+    each distinct point among the last 8,192 (``filled._MEMO_SIZE``)
+    reaches ``fn`` at most once, and older ones are forgotten, first in,
+    first out. If ``fn`` has a ``recall`` method, as the solver's filled
+    functions do, the start and each poll first ask
+    ``fn.recall(x.tobytes())`` for a value ``fn`` already computed. A
+    value it returns is used without calling ``fn`` and is not counted
+    in ``n_evaluations``.
     """
 
     expand: float = 1.0
@@ -116,8 +125,10 @@ class CompassSearch:
         start_value = fx
         xs = x.tolist()
         # fx only falls, so every value seen is >= fx or NaN: a repeated
-        # point cannot improve, and each distinct point is evaluated once.
-        seen = {key}
+        # point cannot improve. Only the last _MEMO_SIZE keys are kept, the
+        # oldest dropped first through the deque in O(1), so a walk of any
+        # length holds bounded memory; a forgotten point is evaluated again.
+        seen, order = {key}, collections.deque((key,))
         # A poll is base with one coordinate moved and clamped in Python
         # floats: bit for bit the clamp of x + step * d, which also turns a
         # -0.0 of the start into 0.0. An accepted poll holds no -0.0.
@@ -143,6 +154,9 @@ class CompassSearch:
                     if key in seen:
                         continue
                     seen.add(key)
+                    order.append(key)
+                    if len(order) > _MEMO_SIZE:
+                        seen.remove(order.popleft())
                     if (v := recall(key)) is None:
                         v = float(fn(y))
                         nev += 1
@@ -150,6 +164,9 @@ class CompassSearch:
                         best, best_val = y, v
             if best is None:
                 step *= _SHRINK
+                if self.step_tol > _SHRINK and not step.is_integer():
+                    termination = "converged"  # the next polls leave the lattice
+                    break
             else:
                 x = base = best
                 fx, xs = best_val, x.tolist()

@@ -8,13 +8,17 @@ best discrete local minimizer of the current pass):
 2. from each unit neighbor of the anchor, cheapest first, minimize an
    augmented filled function built for that pass at the margin ``r_max``;
    round the endpoint and take the best objective value over its
-   neighborhood. A compass escape walk therefore stops at its first step
-   below one lattice unit (``step_tol = _ESCAPE_STEP_TOL = 0.75``): a
-   finer poll moves the endpoint by less than one unit, and the rounding
-   and the neighborhood argmin that follow look one unit around it
-   anyway. Each escape event records how the walk ended and how many
-   points it evaluated. Any strict improvement restarts phase 1 from the
-   improving point. Otherwise the neighbor gets another pass, with a new
+   neighborhood. A compass escape walk therefore keeps its mesh on the
+   lattice, as pattern search on integer variables does: its ``step_tol =
+   _ESCAPE_STEP_TOL = 0.75`` ends it at its first shrink to a step that is
+   not a whole number, round 1's unit step or a later round's capped step
+   halved to a fraction. It then polls lattice points only, where the
+   lattice penalty is skipped; a fractional poll would pay for it, and
+   the rounding and the neighborhood argmin that follow would move the
+   endpoint back onto the lattice anyway. Each escape event records how
+   the walk ended and how many points it evaluated. Any strict
+   improvement restarts phase 1 from the improving point. Otherwise the
+   neighbor gets another pass, with a new
    filled function at the margin ``FilledParams.next_margin`` gives,
    until it gives none or the endpoint lands on a box vertex.
 
@@ -104,8 +108,11 @@ from .filled import (
 )
 from .local_search import MINIMIZERS, make_minimizer, steepest_descent_discrete
 
-# The compass escape's step_tol: its walk ends at its first step below one
-# lattice unit, as the endpoint is rounded and its neighborhood argmin'd.
+# The compass escape's step_tol. It exceeds local_search._SHRINK, so each
+# walk ends at its first shrink to a step that is not a whole number (round
+# 1's unit step, or a later round's step capped at the box width, halved to
+# a fraction), and every point it polls from a lattice neighbor is a lattice
+# point: the endpoint is rounded and its neighborhood argmin'd anyway.
 _ESCAPE_STEP_TOL = 0.75
 
 

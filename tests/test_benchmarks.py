@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import intfill.solver
 from intfill import benchmarks
 from intfill.benchmarks import (
     APPENDIX_RUNS,
@@ -456,18 +457,27 @@ def test_tracer_sees_every_formula_call_of_a_problem_built_after_install(
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     import tracer
 
-    t = tracer.Tracer()
-    t.install()
-    try:
-        problem = get_problem("booth")
-        solve_problem(problem, problem.default_start, SolverConfig())
-    finally:
-        t.uninstall()
-    assert t.violations == []
-    assert t.stat("benchmarks.formula").calls > 0
-    # Every compass escape ends by shrinking its step off the lattice, where
-    # the penalty is computed; lattice polls skip it. A fused evaluation
-    # that bypassed the traced call chain would break one of these counts.
+    def traced_booth():
+        t = tracer.Tracer()
+        t.install()
+        try:
+            problem = get_problem("booth")
+            solve_problem(problem, problem.default_start, SolverConfig())
+        finally:
+            t.uninstall()
+        assert t.violations == []
+        assert t.stat("benchmarks.formula").calls > 0
+        return t
+
+    # The default compass escape ends its walk at its first fractional step,
+    # so every filled value it computes is on the lattice, where the penalty
+    # is skipped.
+    assert traced_booth().stat("filled.lattice_penalty").calls == 0
+    # Refined to a step of 1e-6, the walks poll off the lattice, where it is
+    # computed. A fused evaluation that bypassed the traced call chain would
+    # break one of these counts.
+    monkeypatch.setattr(intfill.solver, "_ESCAPE_STEP_TOL", 1e-6)
+    t = traced_booth()
     penalties = t.stat("filled.lattice_penalty").calls
     assert 0 < penalties < t.stat("filled.augmented").calls
 

@@ -3,6 +3,7 @@ import collections
 import dataclasses
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,25 @@ def test_compass_expanding_step_stays_on_lattice_until_first_shrink(monkeypatch)
     x, _ = compass.minimize(away, np.array([1.0, 0.0]), box)
     assert x.dtype == np.float64
     assert all(float(v).is_integer() for p, _ in calls for v in p)
+
+
+@pytest.mark.parametrize("step_tol,fractional", [(0.75, False), (0.5, True)])
+def test_compass_walk_on_the_lattice_ends_at_its_first_fractional_step(
+    step_tol, fractional
+):
+    # From -10 the step doubles to 16, reaches 10 and is capped at the box
+    # width 20; failed rounds then halve it to 10, 5 and 2.5 (the polls at
+    # -10 and 5 were made before, and are skipped). A step_tol above
+    # _SHRINK ends the walk at 2.5; a smaller one polls on off the lattice.
+    fn, calls = recorded(lambda x: -float(x[0]))
+    box = BoxDomain(np.array([-10]), np.array([10]))
+    x, trace = CompassSearch(expand=2.0, step_tol=step_tol).minimize(
+        fn, np.array([-10.0]), box
+    )
+    assert x[0] == 10.0 and trace.termination == "converged"
+    polled = [p[0] for p, _ in calls]
+    assert polled[:7] == [-10.0, -9.0, -7.0, -3.0, 5.0, 10.0, 0.0]
+    assert polled[7:] == ([7.5, 8.75, 9.375] if fractional else [])
 
 
 def test_compass_expanding_step_capped_at_box_width(monkeypatch):
@@ -357,6 +377,24 @@ def test_compass_evaluates_each_point_once(target):
     fn, calls = recorded(fn)
     CompassSearch().minimize(fn, x0, box)
     assert len(first_occurrences(calls)) == len(calls)
+
+
+def test_compass_remembers_a_bounded_number_of_points(monkeypatch):
+    # A walk that improves at every step evaluates two new points a step,
+    # 50,000 in all. A set of every key took about 90 bytes a point
+    # (4.5 MB here); keeping only the last 8,192 peaks near 2 MB.
+    monkeypatch.setattr(local_search, "_MAX_ITERATIONS", 25_000)
+    box = BoxDomain(np.array([0, 0]), np.array([10**9, 10**9]))
+    tracemalloc.start()
+    try:
+        _, trace = CompassSearch().minimize(
+            lambda x: -float(x[0]), np.array([0.0, 0.0]), box
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.termination == "budget" and trace.n_evaluations == 50_001
+    assert peak < 3_500_000
 
 
 # ---------------------------------------------------------------- quasi-newton
